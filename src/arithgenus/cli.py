@@ -1,22 +1,31 @@
-"""Command-line front end: subcommands dispatching to the library, one
-deterministic JSON report per line.
+"""Command-line front end: one deterministic JSON report per command.
+
+Each verb is declared once, by decorating its handler with
+``_verb(name, help, *options, build=...)``.  The ``_opt`` options go to
+argparse's ``add_argument`` in order; argparse's error texts follow the order
+of verbs and options in this file.  ``build`` turns the parsed namespace into
+``Command.args`` and raises ``UsageError`` on bad input (so does a library
+``ValueError``).  The handler gets ``Command.args`` as keyword arguments and
+returns the JSON-ready result; an ``args["prec"]`` is echoed in the report.
+The argparse tree is built once per process.
 
 Exit codes: 0 on success, 1 on a domain error, 2 on a usage error.  The env
 var ARITHGENUS_PREC_BITS overrides the default working precision; display
-output uses 50 significant digits.  ``--batch`` reads one command object
-per line from stdin ({"argv": [...]}) and never lets one bad line abort the
-stream.
+output uses 50 significant digits.  ``--batch`` reads one command object per
+line from stdin ({"argv": [...]}) and never lets one bad line abort the stream.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable
 
 from mpmath import mp
 
@@ -67,13 +76,6 @@ def _rational(text: str) -> Fraction:
         raise UsageError(f"malformed rational {text!r}: {exc}") from None
 
 
-def _place(text: str) -> Place:
-    try:
-        return Place.parse(text)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
 def _class(text: str) -> brauer.BrauerClass:
     try:
         return brauer.parse_class(text)
@@ -91,6 +93,12 @@ def _form(text: str) -> qforms.QuadraticForm:
 def _squarefree_d(value: int) -> int:
     if value <= 1 or not is_squarefree(value):
         raise UsageError(f"d must be a squarefree integer > 1, got {value}")
+    return value
+
+
+def _bound(value: int | None) -> int | None:
+    if value is not None and value < 2:
+        raise UsageError("bound must be at least 2")
     return value
 
 
@@ -130,162 +138,7 @@ def _parse_triple(text: str) -> qforms.ArithmeticTriple:
         group = brauer.class_from_quaternion(_rational(a), _rational(b))
     else:
         raise UsageError("triple needs form=, algebra= or quat=")
-    try:
-        return qforms.ArithmeticTriple(group, tag, places)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
-def _decimal(value) -> str:
-    return mp.nstr(value, DISPLAY_DIGITS)
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="arithgenus", description=__doc__)
-    parser.add_argument("--batch", action="store_true", help="read {'argv': [...]} JSON lines from stdin")
-    sub = parser.add_subparsers(dest="verb")
-
-    p = sub.add_parser("hilbert", help="Hilbert symbol (a,b) at a place")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("v")
-
-    p = sub.add_parser("brauer", help="inspect or combine Brauer classes")
-    p.add_argument("--algebra", help="class string, e.g. 2:1/3,3:1/3,5:1/3")
-    p.add_argument("--quaternion", help="a,b for the quaternion class (a,b)")
-    p.add_argument("--add", help="class string to add")
-    p.add_argument("--neg", action="store_true", help="negate (opposite algebra)")
-
-    p = sub.add_parser("genus", help="enumerate the genus of a class")
-    p.add_argument("--algebra", required=True)
-
-    p = sub.add_parser("family", help="cubic classes ramified at given primes")
-    p.add_argument("--primes", required=True, help="comma-separated primes")
-
-    p = sub.add_parser("unit", help="fundamental unit of Q(sqrt(d))")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--norm-one", action="store_true", help="smallest unit of norm +1")
-
-    p = sub.add_parser("eta", help="sine-product unit eta(d)")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--prec", type=int)
-
-    p = sub.add_parser("classnum", help="class number of Q(sqrt(d))")
-    p.add_argument("--d", type=int, required=True)
-
-    p = sub.add_parser("spectrum", help="rational length spectrum generators")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--prec", type=int)
-
-    p = sub.add_parser("lencomm", help="length-commensurability of two surfaces")
-    p.add_argument("--algebra1", required=True)
-    p.add_argument("--algebra2", required=True)
-    p.add_argument("--bound", type=int)
-
-    p = sub.add_parser("weakcomm", help="weak commensurability of eigenvalue sets")
-    p.add_argument("--set1", required=True)
-    p.add_argument("--set2", required=True)
-
-    p = sub.add_parser("form", help="invariants and isotropy of a form")
-    p.add_argument("--form", required=True, dest="form_text")
-    p.add_argument("--place")
-
-    p = sub.add_parser("twins", help="twins test for a B/C pair")
-    p.add_argument("--form", required=True, dest="form_text")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--real-definite", action="store_true")
-
-    p = sub.add_parser("triple", help="commensurability of arithmetic triples")
-    p.add_argument("--triple1", required=True)
-    p.add_argument("--triple2", required=True)
-
-    p = sub.add_parser("weyl", help="Weyl-law main term")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--volume", type=float, required=True)
-    p.add_argument("--lam", "--lambda", type=float, required=True, dest="lam")
-
-    return parser
-
-
-def parse(argv: list[str]) -> Command:
-    """Validate argv into a Command; raises UsageError on any bad input."""
-    ns = _build_parser().parse_args(argv)
-    if ns.batch:
-        return Command("batch", {})
-    if ns.verb is None:
-        raise UsageError("a subcommand is required (or --batch)")
-    args: dict[str, Any] = {}
-    if ns.verb == "hilbert":
-        args = {"a": _rational(ns.a), "b": _rational(ns.b), "v": _place(ns.v)}
-        if args["a"] == 0 or args["b"] == 0:
-            raise UsageError("hilbert symbol arguments must be nonzero")
-    elif ns.verb == "brauer":
-        if (ns.algebra is None) == (ns.quaternion is None):
-            raise UsageError("give exactly one of --algebra or --quaternion")
-        if ns.quaternion is not None:
-            a_text, sep, b_text = ns.quaternion.partition(",")
-            if not sep:
-                raise UsageError("--quaternion expects 'a,b'")
-            args["base"] = brauer.class_from_quaternion(
-                _rational(a_text), _rational(b_text)
-            )
-        else:
-            args["base"] = _class(ns.algebra)
-        args["add"] = _class(ns.add) if ns.add is not None else None
-        args["neg"] = ns.neg
-    elif ns.verb == "genus":
-        args = {"algebra": _class(ns.algebra)}
-    elif ns.verb == "family":
-        try:
-            args = {"primes": tuple(int(p) for p in ns.primes.split(","))}
-        except ValueError:
-            raise UsageError(f"malformed prime list {ns.primes!r}") from None
-    elif ns.verb == "unit":
-        args = {"d": _squarefree_d(ns.d), "norm_one": ns.norm_one}
-    elif ns.verb == "eta":
-        args = {"d": _squarefree_d(ns.d), "prec": _prec_bits(ns.prec)}
-    elif ns.verb == "classnum":
-        args = {"d": _squarefree_d(ns.d)}
-    elif ns.verb == "spectrum":
-        if ns.bound < 2:
-            raise UsageError("bound must be at least 2")
-        args = {
-            "algebra": _class(ns.algebra),
-            "bound": ns.bound,
-            "prec": _prec_bits(ns.prec),
-        }
-    elif ns.verb == "lencomm":
-        if ns.bound is not None and ns.bound < 2:
-            raise UsageError("bound must be at least 2")
-        args = {
-            "a1": _class(ns.algebra1),
-            "a2": _class(ns.algebra2),
-            "bound": ns.bound,
-        }
-    elif ns.verb == "weakcomm":
-        args = {"s1": _rational_set(ns.set1), "s2": _rational_set(ns.set2)}
-    elif ns.verb == "form":
-        args = {
-            "form": _form(ns.form_text),
-            "place": _place(ns.place) if ns.place else None,
-        }
-    elif ns.verb == "twins":
-        form = _form(ns.form_text)
-        if form.dim % 2 == 0 or form.dim < 5:
-            raise UsageError("twins needs an odd-dimensional form of dim >= 5")
-        args = {
-            "b": qforms.GroupB(form),
-            "algebra": _class(ns.algebra),
-            "real_definite": ns.real_definite,
-        }
-    elif ns.verb == "triple":
-        args = {"t1": _parse_triple(ns.triple1), "t2": _parse_triple(ns.triple2)}
-    elif ns.verb == "weyl":
-        if ns.dim < 1 or ns.volume <= 0 or ns.lam < 0:
-            raise UsageError("weyl needs dim >= 1, volume > 0, lambda >= 0")
-        args = {"query": spectrum.WeylQuery(ns.dim, ns.volume, ns.lam)}
-    return Command(ns.verb, args)
+    return qforms.ArithmeticTriple(group, tag, places)
 
 
 def _prec_bits(flag_value: int | None) -> int:
@@ -305,6 +158,10 @@ def _prec_bits(flag_value: int | None) -> int:
     return DEFAULT_PREC_BITS
 
 
+def _decimal(value) -> str:
+    return mp.nstr(value, DISPLAY_DIGITS)
+
+
 def _class_report(c: brauer.BrauerClass) -> dict[str, Any]:
     local, glob = brauer.index_profile(c)
     return {
@@ -314,124 +171,245 @@ def _class_report(c: brauer.BrauerClass) -> dict[str, Any]:
     }
 
 
+# ---------------------------------------------------------------------------
+# The verb table.  Builders validate in the same order as the checks they
+# replace, so that a line with several faults keeps its error text.  Handlers
+# look library functions up when called instead of storing them in the table,
+# so that rebinding a library name (as a tracer does) reaches every call.
+
+
+@dataclass(frozen=True)
+class _Verb:
+    help: str
+    options: tuple[tuple[tuple[str, ...], dict[str, Any]], ...]
+    build: Callable[[argparse.Namespace], dict[str, Any]]
+    run: Callable[..., Any]
+
+
+_VERBS: dict[str, _Verb] = {}
+
+
+def _opt(*flags: str, **kwargs: Any) -> tuple[tuple[str, ...], dict[str, Any]]:
+    return flags, kwargs
+
+
+def _verb(name: str, help: str, *options, build):
+    def register(run):
+        _VERBS[name] = _Verb(help, options, build, run)
+        return run
+
+    return register
+
+
+_D_OPT = _opt("--d", type=int, required=True)
+_PREC_OPT = _opt("--prec", type=int)
+
+
+def _hilbert_args(ns) -> dict[str, Any]:
+    args = {"a": _rational(ns.a), "b": _rational(ns.b), "v": Place.parse(ns.v)}
+    if args["a"] == 0 or args["b"] == 0:
+        raise UsageError("hilbert symbol arguments must be nonzero")
+    return args
+
+
+@_verb("hilbert", "Hilbert symbol (a,b) at a place", _opt("a"), _opt("b"), _opt("v"),
+       build=_hilbert_args)
+def _hilbert(a, b, v):
+    return hilbert_symbol(a, b, v)
+
+
+def _brauer_args(ns) -> dict[str, Any]:
+    if (ns.algebra is None) == (ns.quaternion is None):
+        raise UsageError("give exactly one of --algebra or --quaternion")
+    if ns.quaternion is not None:
+        a_text, sep, b_text = ns.quaternion.partition(",")
+        if not sep:
+            raise UsageError("--quaternion expects 'a,b'")
+        base = brauer.class_from_quaternion(_rational(a_text), _rational(b_text))
+    else:
+        base = _class(ns.algebra)
+    return {"base": base, "add": _class(ns.add) if ns.add is not None else None, "neg": ns.neg}
+
+
+@_verb("brauer", "inspect or combine Brauer classes",
+       _opt("--algebra", help="class string, e.g. 2:1/3,3:1/3,5:1/3"),
+       _opt("--quaternion", help="a,b for the quaternion class (a,b)"),
+       _opt("--add", help="class string to add"),
+       _opt("--neg", action="store_true", help="negate (opposite algebra)"), build=_brauer_args)
+def _brauer(base, add, neg):
+    if add is not None:
+        base = brauer.class_add(base, add)
+    if neg:
+        base = brauer.class_neg(base)
+    return _class_report(base)
+
+
+@_verb("genus", "enumerate the genus of a class", _opt("--algebra", required=True),
+       build=lambda ns: {"algebra": _class(ns.algebra)})
+def _genus(algebra):
+    return genus.genus_report(genus.genus_enumerate(algebra))
+
+
+def _family_args(ns) -> dict[str, Any]:
+    try:
+        return {"primes": tuple(int(p) for p in ns.primes.split(","))}
+    except ValueError:
+        raise UsageError(f"malformed prime list {ns.primes!r}") from None
+
+
+@_verb("family", "cubic classes ramified at given primes",
+       _opt("--primes", required=True, help="comma-separated primes"), build=_family_args)
+def _family(primes):
+    members = genus.epsilon_family(primes)
+    return {"primes": list(primes), "size": len(members), "members": [str(m) for m in members]}
+
+
+@_verb("unit", "fundamental unit of Q(sqrt(d))", _D_OPT,
+       _opt("--norm-one", action="store_true", help="smallest unit of norm +1"),
+       build=lambda ns: {"d": _squarefree_d(ns.d), "norm_one": ns.norm_one})
+def _unit(d, norm_one):
+    u = quadfield.norm_one_unit(d) if norm_one else quadfield.fundamental_unit(d)
+    return {"d": d, "x": str(u.x), "y": str(u.y), "norm": u.norm, "text": str(u)}
+
+
+@_verb("eta", "sine-product unit eta(d)", _D_OPT, _PREC_OPT,
+       build=lambda ns: {"d": _squarefree_d(ns.d), "prec": _prec_bits(ns.prec)})
+def _eta(d, prec):
+    return {"d": d, "eta": _decimal(quadfield.eta_analytic(d, prec))}
+
+
+@_verb("classnum", "class number of Q(sqrt(d))", _D_OPT,
+       build=lambda ns: {"d": _squarefree_d(ns.d)})
+def _classnum(d):
+    data = quadfield.class_number(d)
+    return {"d": d, "h": data.class_number, "narrow": data.narrow_class_number}
+
+
+@_verb("spectrum", "rational length spectrum generators", _opt("--algebra", required=True),
+       _opt("--bound", type=int, required=True), _PREC_OPT,
+       build=lambda ns: {"bound": _bound(ns.bound), "algebra": _class(ns.algebra),
+                         "prec": _prec_bits(ns.prec)})
+def _spectrum(algebra, bound, prec):
+    gens = spectrum.spectrum_generators(algebra, bound, prec)
+    return [{"d": g.d, "log_eta": _decimal(g.log_eta)} for g in gens]
+
+
+@_verb("lencomm", "length-commensurability of two surfaces", _opt("--algebra1", required=True),
+       _opt("--algebra2", required=True), _opt("--bound", type=int),
+       build=lambda ns: {"bound": _bound(ns.bound), "a1": _class(ns.algebra1),
+                         "a2": _class(ns.algebra2)})
+def _lencomm(a1, a2, bound):
+    if bound is None:
+        bound = spectrum.default_commensurability_bound(a1, a2)
+    return {"length_commensurable": spectrum.length_commensurable(a1, a2, bound), "bound": bound}
+
+
+@_verb("weakcomm", "weak commensurability of eigenvalue sets",
+       _opt("--set1", required=True), _opt("--set2", required=True),
+       build=lambda ns: {"s1": _rational_set(ns.set1), "s2": _rational_set(ns.set2)})
+def _weakcomm(s1, s2):
+    weakcomm.refuse_torsion(s1, s2)
+    witness = weakcomm.intersection_witness(s1, s2)
+    if witness is None or witness == -1:  # -1 is shared, but is torsion
+        return {"weakly_commensurable": False}
+    return {"weakly_commensurable": True, "witness": str(witness)}
+
+
+@_verb("form", "invariants and isotropy of a form",
+       _opt("--form", required=True, dest="form_text"), _opt("--place"),
+       build=lambda ns: {"form": _form(ns.form_text),
+                         "place": Place.parse(ns.place) if ns.place else None})
+def _inspect_form(form, place):
+    if place is not None:
+        return {
+            "place": str(place),
+            "isotropic": qforms.is_isotropic_local(form, place),
+            "witt": qforms.witt_index_local(form, place),
+        }
+    inv = qforms.form_invariants(form)
+    return {
+        "dim": inv.dim,
+        "disc": inv.disc,
+        "signature": list(inv.signature),
+        "hasse_minus_places": [str(v) for v in inv.hasse_minus],
+        "isotropic_global": qforms.is_isotropic_global(form),
+        "witt_global": qforms.witt_index_global(form),
+    }
+
+
+def _twins_args(ns) -> dict[str, Any]:
+    form = _form(ns.form_text)
+    if form.dim % 2 == 0 or form.dim < 5:
+        raise UsageError("twins needs an odd-dimensional form of dim >= 5")
+    return {"b": qforms.GroupB(form), "algebra": _class(ns.algebra),
+            "real_definite": ns.real_definite}
+
+
+@_verb("twins", "twins test for a B/C pair", _opt("--form", required=True, dest="form_text"),
+       _opt("--algebra", required=True), _opt("--real-definite", action="store_true"),
+       build=_twins_args)
+def _twins(b, algebra, real_definite):
+    return {"twins": qforms.twins(b, qforms.GroupC(algebra, b.rank, real_definite))}
+
+
+@_verb("triple", "commensurability of arithmetic triples",
+       _opt("--triple1", required=True), _opt("--triple2", required=True),
+       build=lambda ns: {"t1": _parse_triple(ns.triple1), "t2": _parse_triple(ns.triple2)})
+def _triple(t1, t2):
+    verdict, reason = qforms.triple_verdict(t1, t2)
+    result: dict[str, Any] = {"commensurable": verdict}
+    if reason is not None:
+        result["reason"] = reason
+    return result
+
+
+def _weyl_args(ns) -> dict[str, Any]:
+    if ns.dim < 1 or ns.volume <= 0 or ns.lam < 0:
+        raise UsageError("weyl needs dim >= 1, volume > 0, lambda >= 0")
+    if not (math.isfinite(ns.volume) and math.isfinite(ns.lam)):
+        raise UsageError("weyl needs a finite volume and lambda")
+    return {"query": spectrum.WeylQuery(ns.dim, ns.volume, ns.lam)}
+
+
+@_verb("weyl", "Weyl-law main term", _opt("--dim", type=int, required=True),
+       _opt("--volume", type=float, required=True),
+       _opt("--lam", "--lambda", type=float, required=True, dest="lam"), build=_weyl_args)
+def _weyl(query):
+    return spectrum.weyl_main_term(query)
+
+
+@functools.cache
+def _parser() -> _Parser:
+    parser = _Parser(prog="arithgenus", description=__doc__)
+    parser.add_argument("--batch", action="store_true", help="read {'argv': [...]} JSON lines from stdin")
+    sub = parser.add_subparsers(dest="verb")
+    for name, verb in _VERBS.items():
+        p = sub.add_parser(name, help=verb.help)
+        for flags, kwargs in verb.options:
+            p.add_argument(*flags, **kwargs)
+    return parser
+
+
+def parse(argv: list[str]) -> Command:
+    """Validate argv into a Command; raises UsageError on any bad input."""
+    ns = _parser().parse_args(argv)
+    if ns.batch:
+        return Command("batch", {})
+    if ns.verb is None:
+        raise UsageError("a subcommand is required (or --batch)")
+    try:
+        return Command(ns.verb, _VERBS[ns.verb].build(ns))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def execute(cmd: Command) -> Report:
     """Run a validated command; library errors become Report errors."""
     try:
-        return _dispatch(cmd)
-    except (ValueError, RuntimeError, ZeroDivisionError) as exc:
+        result = _VERBS[cmd.verb].run(**cmd.args)
+    except (ValueError, RuntimeError, ZeroDivisionError, OverflowError) as exc:
         return Report(ok=False, error=str(exc))
-
-
-def _dispatch(cmd: Command) -> Report:
-    a = cmd.args
-    if cmd.verb == "hilbert":
-        return Report(True, hilbert_symbol(a["a"], a["b"], a["v"]))
-    if cmd.verb == "brauer":
-        cls = a["base"]
-        if a["add"] is not None:
-            cls = brauer.class_add(cls, a["add"])
-        if a["neg"]:
-            cls = brauer.class_neg(cls)
-        return Report(True, _class_report(cls))
-    if cmd.verb == "genus":
-        return Report(True, genus.genus_report(genus.genus_enumerate(a["algebra"])))
-    if cmd.verb == "family":
-        members = genus.epsilon_family(a["primes"])
-        return Report(
-            True,
-            {
-                "primes": list(a["primes"]),
-                "size": len(members),
-                "members": [str(m) for m in members],
-            },
-        )
-    if cmd.verb == "unit":
-        u = (
-            quadfield.norm_one_unit(a["d"])
-            if a["norm_one"]
-            else quadfield.fundamental_unit(a["d"])
-        )
-        return Report(
-            True,
-            {
-                "d": a["d"],
-                "x": str(u.x),
-                "y": str(u.y),
-                "norm": u.norm,
-                "text": str(u),
-            },
-        )
-    if cmd.verb == "eta":
-        value = quadfield.eta_analytic(a["d"], a["prec"])
-        return Report(
-            True, {"d": a["d"], "eta": _decimal(value)}, prec=a["prec"]
-        )
-    if cmd.verb == "classnum":
-        data = quadfield.class_number(a["d"])
-        return Report(
-            True,
-            {
-                "d": a["d"],
-                "h": data.class_number,
-                "narrow": data.narrow_class_number,
-            },
-        )
-    if cmd.verb == "spectrum":
-        gens = spectrum.spectrum_generators(a["algebra"], a["bound"], a["prec"])
-        return Report(
-            True,
-            [{"d": g.d, "log_eta": _decimal(g.log_eta)} for g in gens],
-            prec=a["prec"],
-        )
-    if cmd.verb == "lencomm":
-        bound = a["bound"]
-        if bound is None:
-            bound = spectrum.default_commensurability_bound(a["a1"], a["a2"])
-        verdict = spectrum.length_commensurable(a["a1"], a["a2"], bound)
-        return Report(True, {"length_commensurable": verdict, "bound": bound})
-    if cmd.verb == "weakcomm":
-        verdict = weakcomm.weakly_commensurable(a["s1"], a["s2"])
-        result = {"weakly_commensurable": verdict}
-        witness = weakcomm.intersection_witness(a["s1"], a["s2"])
-        if verdict and witness is not None:
-            result["witness"] = str(witness)
-        return Report(True, result)
-    if cmd.verb == "form":
-        f, place = a["form"], a["place"]
-        if place is not None:
-            return Report(
-                True,
-                {
-                    "place": str(place),
-                    "isotropic": qforms.is_isotropic_local(f, place),
-                    "witt": qforms.witt_index_local(f, place),
-                },
-            )
-        inv = qforms.form_invariants(f)
-        return Report(
-            True,
-            {
-                "dim": inv.dim,
-                "disc": inv.disc,
-                "signature": list(inv.signature),
-                "hasse_minus_places": [str(v) for v in inv.hasse_minus],
-                "isotropic_global": qforms.is_isotropic_global(f),
-                "witt_global": qforms.witt_index_global(f),
-            },
-        )
-    if cmd.verb == "twins":
-        b: qforms.GroupB = a["b"]
-        c = qforms.GroupC(a["algebra"], b.rank, a["real_definite"])
-        return Report(True, {"twins": qforms.twins(b, c)})
-    if cmd.verb == "triple":
-        verdict, reason = qforms.triple_verdict(a["t1"], a["t2"])
-        result: dict[str, Any] = {"commensurable": verdict}
-        if reason is not None:
-            result["reason"] = reason
-        return Report(True, result)
-    if cmd.verb == "weyl":
-        return Report(True, spectrum.weyl_main_term(a["query"]))
-    raise RuntimeError(f"unhandled verb {cmd.verb}")
+    return Report(True, result, prec=cmd.args.get("prec"))
 
 
 def _run_batch(stream, out) -> int:
@@ -444,7 +422,10 @@ def _run_batch(stream, out) -> int:
             argv = obj["argv"]
             if not isinstance(argv, list) or not all(isinstance(x, str) for x in argv):
                 raise UsageError("'argv' must be a list of strings")
-            report = execute(parse(argv))
+            cmd = parse(argv)
+            if cmd.verb == "batch":
+                raise UsageError("--batch cannot be nested")
+            report = execute(cmd)
         except UsageError as exc:
             report = Report(ok=False, error=f"usage: {exc}")
         except (json.JSONDecodeError, KeyError, TypeError) as exc:

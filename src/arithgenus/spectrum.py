@@ -129,4 +129,7 @@ def length_commensurable(
 def weyl_main_term(q: WeylQuery) -> float:
     """Leading eigenvalue-count term vol/((4 pi)^(n/2) Gamma(n/2+1)) * lam^n."""
     n = q.dim
-    return q.volume / ((4 * math.pi) ** (n / 2) * math.gamma(n / 2 + 1)) * q.lam**n
+    term = q.volume / ((4 * math.pi) ** (n / 2) * math.gamma(n / 2 + 1)) * q.lam**n
+    if not math.isfinite(term):
+        raise OverflowError("Weyl main term is not a finite float")
+    return term

@@ -173,31 +173,6 @@ def _contains_minus_one(vectors: list[list[int]], signs: list[int]) -> bool:
     return False
 
 
-def _free_intersection_witness(
-    s1: RationalEigenvalues, s2: RationalEigenvalues
-) -> Optional[Fraction]:
-    """A common element of infinite order of the two generated groups, if any.
-
-    Solves x*A = y*B over Z via the left kernel of the stacked matrix
-    [A; -B]; a kernel element with nonzero image gives |g| realized in both
-    groups, and squaring reconciles the signs when they disagree.
-    """
-    support = _union_support(s1, s2)
-    a_rows, _ = _vectors_and_signs(s1, support)
-    b_rows, _ = _vectors_and_signs(s2, support)
-    stacked = a_rows + [[-x for x in row] for row in b_rows]
-    r1 = len(a_rows)
-    for u in _left_kernel(stacked):
-        x, y = u[:r1], u[r1:]
-        image = [sum(xi * row[j] for xi, row in zip(x, a_rows)) for j in range(len(support))]
-        if any(image):
-            g1 = _power_product(s1.values, x)
-            g2 = _power_product(s2.values, y)
-            assert abs(g1) == abs(g2)
-            return g1 if g1 == g2 else g1 * g1
-    return None
-
-
 def _power_product(values: tuple[Fraction, ...], exponents: list[int]) -> Fraction:
     out = Fraction(1)
     for v, e in zip(values, exponents):
@@ -239,12 +214,7 @@ def groups_intersect(s1: EigenvalueSet, s2: EigenvalueSet) -> bool:
     """Whether the eigenvalue-generated subgroups of Q-bar^x share an element
     other than 1."""
     if isinstance(s1, RationalEigenvalues) and isinstance(s2, RationalEigenvalues):
-        if _free_intersection_witness(s1, s2) is not None:
-            return True
-        support = _union_support(s1, s2)
-        v1, sg1 = _vectors_and_signs(s1, support)
-        v2, sg2 = _vectors_and_signs(s2, support)
-        return _contains_minus_one(v1, sg1) and _contains_minus_one(v2, sg2)
+        return intersection_witness(s1, s2) is not None
     if isinstance(s1, QuadraticEigenvalues) and isinstance(s2, QuadraticEigenvalues):
         # same field: u1^(2k2) = u2^(2k1) up to nothing, a genuine common
         # element; distinct fields meet only in +-1, which our sets exclude
@@ -257,26 +227,43 @@ def intersection_witness(
     s1: RationalEigenvalues, s2: RationalEigenvalues
 ) -> Optional[Fraction]:
     """A common element != 1 of the two rational eigenvalue groups, if any;
-    prefers an infinite-order witness and falls back to -1."""
-    witness = _free_intersection_witness(s1, s2)
-    if witness is not None:
-        return witness
+    prefers an infinite-order witness and falls back to -1.
+
+    Solves x*A = y*B over Z via the left kernel of the stacked matrix
+    [A; -B]; a kernel element with nonzero image gives |g| realized in both
+    groups, and squaring reconciles the signs when they disagree.  The
+    support and the exponent vectors are built once for both questions.
+    """
     support = _union_support(s1, s2)
-    v1, sg1 = _vectors_and_signs(s1, support)
-    v2, sg2 = _vectors_and_signs(s2, support)
-    if _contains_minus_one(v1, sg1) and _contains_minus_one(v2, sg2):
+    a_rows, a_signs = _vectors_and_signs(s1, support)
+    b_rows, b_signs = _vectors_and_signs(s2, support)
+    stacked = a_rows + [[-x for x in row] for row in b_rows]
+    r1 = len(a_rows)
+    for u in _left_kernel(stacked):
+        x, y = u[:r1], u[r1:]
+        image = [sum(xi * row[j] for xi, row in zip(x, a_rows)) for j in range(len(support))]
+        if any(image):
+            g1 = _power_product(s1.values, x)
+            g2 = _power_product(s2.values, y)
+            assert abs(g1) == abs(g2)
+            return g1 if g1 == g2 else g1 * g1
+    if _contains_minus_one(a_rows, a_signs) and _contains_minus_one(b_rows, b_signs):
         return Fraction(-1)
     return None
+
+
+def refuse_torsion(*sets: EigenvalueSet) -> None:
+    """Raise ValueError if a rational set has only the torsion values +-1,
+    which carry no weak-commensurability data."""
+    for e in sets:
+        if isinstance(e, RationalEigenvalues) and all(v in (1, -1) for v in e.values):
+            raise ValueError("eigenvalue set is torsion-only")
 
 
 def weakly_commensurable(e1: EigenvalueSet, e2: EigenvalueSet) -> bool:
     """Weak commensurability of the underlying semi-simple elements: the
     eigenvalue groups must share an element different from +-1."""
-    for e in (e1, e2):
-        if isinstance(e, RationalEigenvalues) and all(
-            v in (1, -1) for v in e.values
-        ):
-            raise ValueError("eigenvalue set is torsion-only")
+    refuse_torsion(e1, e2)
     if isinstance(e1, RationalEigenvalues) and isinstance(e2, RationalEigenvalues):
-        return _free_intersection_witness(e1, e2) is not None
+        return intersection_witness(e1, e2) not in (None, -1)
     return groups_intersect(e1, e2)

@@ -186,6 +186,227 @@ class TestBatch:
         results = [json.loads(line)["result"] for line in out.strip().splitlines()]
         assert len(results) == 3
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["brauer", "--quaternion=0,1"],
+            ["triple", "--triple1=quat=0,1", "--triple2=form=1,1,1"],
+            ["weyl", "--dim=1", "--volume=nan", "--lam=0"],
+            ["weyl", "--dim=400", "--volume=1", "--lam=1e300"],
+            ["weyl", "--dim=2", "--volume=inf", "--lam=1"],
+            ["weyl", "--dim=2", "--volume=1", "--lam=inf"],
+            ["weyl", "--dim=1", "--volume=1e308", "--lam=1e308"],
+        ],
+    )
+    def test_bad_line_then_good_line(self, argv, capsys, monkeypatch):
+        lines = [json.dumps({"argv": argv}), json.dumps({"argv": ["hilbert", "-1", "3", "3"]})]
+        monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(lines)))
+        code, out, _ = run_main(["--batch"], capsys)
+        assert code == 0
+
+        def no_constant(name):
+            raise ValueError(f"{name} is not JSON")
+
+        reports = [json.loads(line, parse_constant=no_constant) for line in out.splitlines()]
+        assert [r["ok"] for r in reports] == [False, True]
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        built = []
+        init = cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        counts = []
+        for n in (1, 50):
+            built.clear()
+            line = json.dumps({"argv": ["hilbert", "-1", "3", "3"]})
+            monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join([line] * n)))
+            run_main(["--batch"], capsys)
+            counts.append(len(built))
+        assert counts[1] <= counts[0]
+
+
+# Exact replies recorded before the verb table replaced the per-verb
+# if-chains: one command per verb, then each class of usage error.  The
+# argparse texts depend on the order in which verbs and options are declared.
+VERB_LIST = (
+    "'hilbert', 'brauer', 'genus', 'family', 'unit', 'eta', 'classnum', "
+    "'spectrum', 'lencomm', 'weakcomm', 'form', 'twins', 'triple', 'weyl'"
+)
+UNKNOWN_VERB = (
+    '{"ok":false,"error":"usage: argument verb: invalid choice: '
+    "'frobnicate' (choose from " + VERB_LIST + ')"}'
+)
+GOLDEN_MAIN = [
+    (["hilbert", "-1", "3", "3"], 0, '{"ok":true,"result":-1}', ""),
+    (
+        ["brauer", "--algebra=2:1/3,3:1/3,5:1/3", "--add=2:1/3,7:2/3", "--neg"],
+        0,
+        '{"ok":true,"result":{"class":"2:1/3,3:2/3,5:2/3,7:1/3",'
+        '"local_index":{"2":3,"3":3,"5":3,"7":3},"global_index":3}}',
+        "",
+    ),
+    (
+        ["brauer", "--quaternion=-1,3"],
+        0,
+        '{"ok":true,"result":{"class":"2:1/2,3:1/2",'
+        '"local_index":{"2":2,"3":2},"global_index":2}}',
+        "",
+    ),
+    (
+        ["genus", "--algebra=2:1/3,3:1/3,5:1/3"],
+        0,
+        '{"ok":true,"result":{"base":"2:1/3,3:1/3,5:1/3","size":2,'
+        '"members":["2:1/3,3:1/3,5:1/3","2:2/3,3:2/3,5:2/3"]}}',
+        "",
+    ),
+    (
+        ["family", "--primes=7,13"],
+        0,
+        '{"ok":true,"result":{"primes":[7,13],"size":2,'
+        '"members":["7:1/3,13:2/3","7:2/3,13:1/3"]}}',
+        "",
+    ),
+    (
+        ["unit", "--d=13"],
+        0,
+        '{"ok":true,"result":{"d":13,"x":"3/2","y":"1/2","norm":-1,'
+        '"text":"3/2 + 1/2*sqrt(13)"}}',
+        "",
+    ),
+    (
+        ["unit", "--d=7", "--norm-one"],
+        0,
+        '{"ok":true,"result":{"d":7,"x":"8","y":"3","norm":1,"text":"8 + 3*sqrt(7)"}}',
+        "",
+    ),
+    (
+        ["eta", "--d=5", "--prec=64"],
+        0,
+        '{"ok":true,"prec":64,"result":{"d":5,'
+        '"eta":"2.6180339887498948480987898124183743675530422478914"}}',
+        "",
+    ),
+    (["classnum", "--d=10"], 0, '{"ok":true,"result":{"d":10,"h":2,"narrow":2}}', ""),
+    (
+        ["spectrum", "--algebra=2:1/2,3:1/2", "--bound=30"],
+        0,
+        '{"ok":true,"prec":192,"result":['
+        '{"d":2,"log_eta":"1.7627471740390860504652186499595846180563206565233"},'
+        '{"d":3,"log_eta":"2.633915793849633417250092694615936888053963942935"},'
+        '{"d":5,"log_eta":"0.96242365011920689499551782684873684627036866877132"},'
+        '{"d":6,"log_eta":"4.5848633391223553756015746226960308632437364800314"},'
+        '{"d":11,"log_eta":"5.986445692252761795825335427548365826167320902362"},'
+        '{"d":14,"log_eta":"6.8001688282266790014003744284897341290395657462879"},'
+        '{"d":15,"log_eta":"8.2537482755822421869091246904805274858263657995336"},'
+        '{"d":21,"log_eta":"3.1335984739448221573281137251609669877241647021853"},'
+        '{"d":23,"log_eta":"7.7415334005741875111962335971414902991899748231333"},'
+        '{"d":26,"log_eta":"9.2497533650910104810142493654576575346329802905862"},'
+        '{"d":29,"log_eta":"3.2944622927421914212497172208872393270088288603865"},'
+        '{"d":30,"log_eta":"12.355879619378412071665919414945180378133817764546"}]}',
+        "",
+    ),
+    (
+        ["lencomm", "--algebra1=2:1/2,3:1/2", "--algebra2=2:1/2,5:1/2"],
+        0,
+        '{"ok":true,"result":{"length_commensurable":false,"bound":200}}',
+        "",
+    ),
+    (
+        ["weakcomm", "--set1=6,10", "--set2=3/5,7"],
+        0,
+        '{"ok":true,"result":{"weakly_commensurable":true,"witness":"3/5"}}',
+        "",
+    ),
+    (
+        ["form", "--form=1,1,-3"],
+        0,
+        '{"ok":true,"result":{"dim":3,"disc":-3,"signature":[2,1],'
+        '"hasse_minus_places":[],"isotropic_global":false,"witt_global":0}}',
+        "",
+    ),
+    (
+        ["form", "--form=1,1,-3", "--place=3"],
+        0,
+        '{"ok":true,"result":{"place":"3","isotropic":false,"witt":0}}',
+        "",
+    ),
+    (
+        ["twins", "--form=1,-1,1,-1,1,-1,1", "--algebra="],
+        0,
+        '{"ok":true,"result":{"twins":true}}',
+        "",
+    ),
+    (
+        ["triple", "--triple1=form=1,1,-3;K=Q;S=", "--triple2=form=1,2,-7;K=Q;S="],
+        0,
+        '{"ok":true,"result":{"commensurable":false,'
+        '"reason":"forms are not similar over Q"}}',
+        "",
+    ),
+    (
+        ["weyl", "--dim=2", "--volume=12.566370614359172", "--lam=1"],
+        0,
+        '{"ok":true,"result":1.0}',
+        "",
+    ),
+    (
+        ["spectrum", "--algebra=", "--bound=10"],
+        1,
+        '{"ok":false,"error":"algebra must be a quaternion division class (index 2)"}',
+        "",
+    ),
+    (["frobnicate"], 2, "", UNKNOWN_VERB),
+    (
+        ["genus"],
+        2,
+        "",
+        '{"ok":false,"error":"usage: the following arguments are required: --algebra"}',
+    ),
+    (
+        ["hilbert", "-1", "3", "3", "--bogus"],
+        2,
+        "",
+        '{"ok":false,"error":"usage: unrecognized arguments: --bogus"}',
+    ),
+    ([], 2, "", '{"ok":false,"error":"usage: a subcommand is required (or --batch)"}'),
+]
+GOLDEN_BATCH = [
+    (
+        '{"argv": []}',
+        '{"ok":false,"error":"usage: a subcommand is required (or --batch)"}',
+    ),
+    (
+        "not json",
+        '{"ok":false,"error":"bad batch line: Expecting value: line 1 column 1 (char 0)"}',
+    ),
+    ('{"argv": ["--batch"]}', '{"ok":false,"error":"usage: --batch cannot be nested"}'),
+    ('{"argv": ["frobnicate"]}', UNKNOWN_VERB),
+    ('{"argv": ["hilbert", "-1", "3", "3"]}', '{"ok":true,"result":-1}'),
+]
+
+
+class TestGolden:
+    @pytest.mark.parametrize(
+        "argv,code,out,err", GOLDEN_MAIN, ids=[" ".join(g[0]) or "no-args" for g in GOLDEN_MAIN]
+    )
+    def test_main(self, argv, code, out, err, capsys, monkeypatch):
+        monkeypatch.delenv("ARITHGENUS_PREC_BITS", raising=False)
+        assert run_main(argv, capsys) == (
+            code,
+            out + "\n" if out else "",
+            err + "\n" if err else "",
+        )
+
+    def test_batch(self, capsys, monkeypatch):
+        lines = [line for line, _ in GOLDEN_BATCH]
+        monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(lines) + "\n"))
+        replies = "".join(reply + "\n" for _, reply in GOLDEN_BATCH)
+        assert run_main(["--batch"], capsys) == (0, replies, "")
+
 
 def test_installed_entry_point_runs():
     proc = subprocess.run(
