@@ -18,7 +18,9 @@ line from stdin ({"argv": [...]}) and never lets one bad line abort the stream.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import io
 import json
 import math
 import os
@@ -422,7 +424,13 @@ def _run_batch(stream, out) -> int:
             argv = obj["argv"]
             if not isinstance(argv, list) or not all(isinstance(x, str) for x in argv):
                 raise UsageError("'argv' must be a list of strings")
-            cmd = parse(argv)
+            try:
+                # argparse prints help to stdout and exits; stdout carries
+                # only replies here
+                with contextlib.redirect_stdout(io.StringIO()):
+                    cmd = parse(argv)
+            except SystemExit:
+                raise UsageError("help is not available in --batch") from None
             if cmd.verb == "batch":
                 raise UsageError("--batch cannot be nested")
             report = execute(cmd)

@@ -3,7 +3,8 @@
 Two classes have the same maximal subfields exactly when they have equal
 local index at every place (and hence equal degree); over Q the genus of a
 class is therefore the finite set of classes matching its local index
-profile, which this module enumerates exhaustively.
+profile.  Invariants sum to 0, so the genus is enumerated over every place
+but the last, which the zero sum fixes.
 """
 
 from __future__ import annotations
@@ -112,18 +113,25 @@ def _exact_order_values(v: Place, order: int) -> list[Fraction]:
     return [Fraction(k, order) for k in range(1, order) if gcd(k, order) == 1]
 
 
-def genus_enumerate(c: BrauerClass) -> GenusSet:
-    """All classes with the same local index as c at every place, found by
-    exhausting invariant values of the exact local order and keeping the
-    zero-sum combinations."""
-    support = c.support
-    orders = [c.local_index(v) for v in support]
-    members = []
+def _zero_sum_classes(places, orders):
+    """Classes with an invariant of exact order orders[i] at places[i] and
+    no other ramification, in product order over the places as given: each
+    invariant but the last is chosen, and the zero sum fixes the last."""
+    if not places:
+        yield class_from_invariants({})
+        return
     for combo in itertools.product(
-        *(_exact_order_values(v, r) for v, r in zip(support, orders))
+        *(_exact_order_values(v, r) for v, r in zip(places[:-1], orders))
     ):
-        if sum(combo, Fraction(0)).denominator == 1:
-            members.append(class_from_invariants(dict(zip(support, combo))))
+        last = -sum(combo, Fraction(0)) % 1
+        if last.denominator == orders[-1]:
+            yield class_from_invariants(dict(zip(places, combo + (last,))))
+
+
+def genus_enumerate(c: BrauerClass) -> GenusSet:
+    """All classes with the same local index as c at every place."""
+    support = c.support
+    members = list(_zero_sum_classes(support, [c.local_index(v) for v in support]))
     members.sort(key=lambda m: tuple(value for _, value in m.invariants))
     return GenusSet(c, tuple(members))
 
@@ -132,8 +140,9 @@ def epsilon_family(primes: list[int] | tuple[int, ...]) -> list[BrauerClass]:
     """Cubic division classes ramified exactly at the given primes with
     invariants e_i/3, e_i = +-1, subject to sum(e_i) = 0 mod 3.
 
-    Any two members have the same maximal subfields while being pairwise
-    distinct.  The list is ordered by the sign tuple, +1 before -1.
+    These are the genus of any one member.  Any two members have the same
+    maximal subfields while being pairwise distinct.  The list is ordered by
+    the sign tuple over the primes as given, +1 before -1.
     """
     primes = tuple(primes)
     if len(primes) < 2:
@@ -143,15 +152,7 @@ def epsilon_family(primes: list[int] | tuple[int, ...]) -> list[BrauerClass]:
     for p in primes:
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-    family = []
-    for signs in itertools.product((1, -1), repeat=len(primes)):
-        if sum(signs) % 3 == 0:
-            cls = class_from_invariants(
-                {Place(p): Fraction(e, 3) for p, e in zip(primes, signs)}
-            )
-            assert global_index(cls) == 3
-            family.append(cls)
-    return family
+    return list(_zero_sum_classes([Place(p) for p in primes], [3] * len(primes)))
 
 
 def genus_report(genus: GenusSet) -> dict:

@@ -9,7 +9,6 @@ triples (group datum, base-field tag, finite place set).
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -84,11 +83,8 @@ def _disc_class(coeffs: tuple[Fraction, ...]) -> int:
     return squarefree_part(prod.numerator * prod.denominator)
 
 
-def _relevant_places(f: QuadraticForm, *extra: QuadraticForm) -> list[Place]:
-    coeffs = list(f.coeffs)
-    for g in extra:
-        coeffs.extend(g.coeffs)
-    return support_places(*coeffs)
+def _relevant_places(f: QuadraticForm) -> list[Place]:
+    return support_places(*f.coeffs)
 
 
 def form_invariants(f: QuadraticForm) -> LocalInvariants:
@@ -216,30 +212,12 @@ def forms_equivalent(f: QuadraticForm, g: QuadraticForm) -> bool:
     return form_invariants(f) == form_invariants(g)
 
 
-def _similarity_candidates(f: QuadraticForm, g: QuadraticForm) -> list[Fraction]:
-    odd_primes = sorted(
-        v.prime
-        for v in support_places(_disc_class(f.coeffs), _disc_class(g.coeffs))
-        if v.prime is not None and v.prime != 2
-    )
-    generators = [Fraction(-1), Fraction(2)] + [Fraction(p) for p in odd_primes]
-    candidates = []
-    for bits in itertools.product((0, 1), repeat=len(generators)):
-        lam = Fraction(1)
-        for b, gen in zip(bits, generators):
-            if b:
-                lam *= gen
-        candidates.append(lam)
-    return candidates
-
-
 def _forms_similar(f: QuadraticForm, g: QuadraticForm) -> bool:
-    # for odd dimension a similarity factor acts on the discriminant by its
-    # own square class, so it must be supported on -1, 2 and the odd primes
-    # of disc(f)*disc(g)
-    return any(
-        forms_equivalent(f.scaled(lam), g) for lam in _similarity_candidates(f, g)
-    )
+    # callers pass forms of equal odd dimension n; then disc(lam*f) =
+    # lam^n * disc(f) = lam * disc(f) mod squares, so disc(f)*disc(g) is the
+    # only similarity factor up to squares (Lam, Introduction to Quadratic
+    # Forms over Fields)
+    return forms_equivalent(f.scaled(_disc_class(f.coeffs) * _disc_class(g.coeffs)), g)
 
 
 def so3_groups_isomorphic(f: QuadraticForm, g: QuadraticForm) -> bool:
@@ -294,26 +272,19 @@ def twins(b: GroupB, c: GroupC) -> bool:
     """Whether the two groups are simultaneously split or simultaneously
     anisotropic at every place of Q.
 
-    At finite places neither type can be anisotropic, so both must be split
-    there; the real place allows the split/split and
-    anisotropic/anisotropic matches.
+    Neither type is anisotropic at a finite place, so both must be split
+    there.  An anisotropic C side at the real place is ramified there, and
+    since invariants sum to 0 it is then ramified at a finite place as well,
+    which already fails.  So the pair are twins exactly when the algebra is
+    trivial and the form has maximal Witt index at the real place and at
+    every finite place where it is not unimodular of odd residue
+    characteristic.
     """
     if b.rank != c.rank:
         raise ValueError(f"rank mismatch: B side has rank {b.rank}, C side {c.rank}")
-    n = b.rank
-    finite = {v for v in _relevant_places(b.form) if not v.is_real}
-    finite.update(v for v in c.algebra.support if not v.is_real)
-    for v in sorted(finite, key=Place.sort_key):
-        if witt_index_local(b.form, v) != n:
-            return False
-        if c.algebra.invariant_at(v):
-            return False
-    real_witt = min(form_invariants(b.form).signature)
-    c_ramified = any(v.is_real for v in c.algebra.support)
-    b_split, b_anisotropic = real_witt == n, real_witt == 0
-    c_split = not c_ramified and not c.real_definite
-    c_anisotropic = c_ramified and c.real_definite
-    return (b_split and c_split) or (b_anisotropic and c_anisotropic)
+    return c.algebra.is_trivial() and all(
+        witt_index_local(b.form, v) == b.rank for v in _relevant_places(b.form)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -93,10 +93,16 @@ class QuadUnit:
         return QuadUnit(self.field, -conj.x, -conj.y, self.norm)
 
     def __pow__(self, k: int) -> "QuadUnit":
+        # square-and-multiply over the bits of |k|
         base = self if k >= 0 else self.inverse()
         result = QuadUnit(self.field, Fraction(1), Fraction(0), 1)
-        for _ in range(abs(k)):
-            result = result * base
+        k = abs(k)
+        while k:
+            if k & 1:
+                result = result * base
+            k >>= 1
+            if k:
+                base = base * base
         return result
 
     def compare_real(self, t) -> int:

@@ -143,23 +143,21 @@ def _left_kernel(rows: list[list[int]]) -> list[list[int]]:
     return [u[i] for i in range(m) if not any(a[i])]
 
 
-def _union_support(*sets: RationalEigenvalues) -> tuple[int, ...]:
-    primes: set[int] = set()
-    for s in sets:
-        for v in s.values:
-            primes.update(factor(v).support)
-    return tuple(sorted(primes))
-
-
-def _vectors_and_signs(
-    s: RationalEigenvalues, support: tuple[int, ...]
-) -> tuple[list[list[int]], list[int]]:
-    vectors, signs = [], []
-    for v in s.values:
-        ev = to_exponent_vector(v, support)
-        vectors.append(list(ev.exponents))
-        signs.append(0 if ev.sign == 1 else 1)
-    return vectors, signs
+def _exponent_rows(
+    *sets: RationalEigenvalues,
+) -> tuple[tuple[int, ...], list[tuple[list[list[int]], list[int]]]]:
+    # each value is factored once; the union support and every set's
+    # exponent rows and sign parities are read off those factorizations
+    facts = [[factor(v) for v in s.values] for s in sets]
+    support = tuple(sorted({p for fs in facts for f in fs for p in f.support}))
+    rows = []
+    for fs in facts:
+        exponents = [dict(f.factors) for f in fs]
+        rows.append((
+            [[e.get(p, 0) for p in support] for e in exponents],
+            [0 if f.sign == 1 else 1 for f in fs],
+        ))
+    return support, rows
 
 
 def _contains_minus_one(vectors: list[list[int]], signs: list[int]) -> bool:
@@ -231,12 +229,11 @@ def intersection_witness(
 
     Solves x*A = y*B over Z via the left kernel of the stacked matrix
     [A; -B]; a kernel element with nonzero image gives |g| realized in both
-    groups, and squaring reconciles the signs when they disagree.  The
-    support and the exponent vectors are built once for both questions.
+    groups, and squaring reconciles the signs when they disagree.  Each value
+    is factored once, and the support and the exponent vectors built from
+    that serve both questions.
     """
-    support = _union_support(s1, s2)
-    a_rows, a_signs = _vectors_and_signs(s1, support)
-    b_rows, b_signs = _vectors_and_signs(s2, support)
+    support, ((a_rows, a_signs), (b_rows, b_signs)) = _exponent_rows(s1, s2)
     stacked = a_rows + [[-x for x in row] for row in b_rows]
     r1 = len(a_rows)
     for u in _left_kernel(stacked):

@@ -336,3 +336,81 @@ def genus_size_by_enumeration(orders: list[int]) -> int:
     for r in orders:
         choices.append([k for k in range(L) if L // gcd(k, L) == r])
     return sum(1 for combo in product(*choices) if sum(combo) % L == 0)
+
+
+# ---------------------------------------------------------------------------
+# Closed forms of qforms and genus, recomputed by their former searches
+
+
+def similar_by_search(f, g) -> bool:
+    """Similarity of two forms of equal odd dimension by trying every factor
+    supported on -1, 2 and the odd primes of disc(f)*disc(g)."""
+    import itertools
+
+    from arithgenus.arith import support_places
+    from arithgenus.qforms import _disc_class, forms_equivalent
+
+    odd_primes = sorted(
+        v.prime
+        for v in support_places(_disc_class(f.coeffs), _disc_class(g.coeffs))
+        if v.prime is not None and v.prime != 2
+    )
+    generators = [Fraction(-1), Fraction(2)] + [Fraction(p) for p in odd_primes]
+    candidates = []
+    for bits in itertools.product((0, 1), repeat=len(generators)):
+        lam = Fraction(1)
+        for b, gen in zip(bits, generators):
+            if b:
+                lam *= gen
+        candidates.append(lam)
+    return any(forms_equivalent(f.scaled(lam), g) for lam in candidates)
+
+
+def _exact_order_values(v, order: int) -> list[Fraction]:
+    from math import gcd
+
+    if v.is_real:
+        # the only nonzero invariant allowed at the real place
+        return [Fraction(1, 2)]
+    return [Fraction(k, order) for k in range(1, order) if gcd(k, order) == 1]
+
+
+def genus_members_by_search(c):
+    """The genus of c, sorted by invariants: every tuple of invariants of the
+    exact local orders of c, kept when it sums to 0 in Q/Z."""
+    import itertools
+
+    from arithgenus.brauer import class_from_invariants
+
+    support = c.support
+    orders = [c.local_index(v) for v in support]
+    members = []
+    for combo in itertools.product(
+        *(_exact_order_values(v, r) for v, r in zip(support, orders))
+    ):
+        if sum(combo, Fraction(0)).denominator == 1:
+            members.append(class_from_invariants(dict(zip(support, combo))))
+    members.sort(key=lambda m: tuple(value for _, value in m.invariants))
+    return tuple(members)
+
+
+def twins_by_places(b, c) -> bool:
+    """The twins test place by place: both groups split at every finite
+    place, and split/split or anisotropic/anisotropic at the real place."""
+    from arithgenus.arith import Place
+    from arithgenus.qforms import _relevant_places, form_invariants, witt_index_local
+
+    n = b.rank
+    finite = {v for v in _relevant_places(b.form) if not v.is_real}
+    finite.update(v for v in c.algebra.support if not v.is_real)
+    for v in sorted(finite, key=Place.sort_key):
+        if witt_index_local(b.form, v) != n:
+            return False
+        if c.algebra.invariant_at(v):
+            return False
+    real_witt = min(form_invariants(b.form).signature)
+    c_ramified = any(v.is_real for v in c.algebra.support)
+    b_split, b_anisotropic = real_witt == n, real_witt == 0
+    c_split = not c_ramified and not c.real_definite
+    c_anisotropic = c_ramified and c.real_definite
+    return (b_split and c_split) or (b_anisotropic and c_anisotropic)

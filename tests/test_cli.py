@@ -210,6 +210,23 @@ class TestBatch:
         reports = [json.loads(line, parse_constant=no_constant) for line in out.splitlines()]
         assert [r["ok"] for r in reports] == [False, True]
 
+    @pytest.mark.parametrize("argv", [["-h"], ["hilbert", "--help"]])
+    def test_help_line_then_good_line(self, argv, capsys, monkeypatch):
+        lines = [json.dumps({"argv": argv}), json.dumps({"argv": ["hilbert", "-1", "3", "3"]})]
+        monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(lines)))
+        assert run_main(["--batch"], capsys) == (
+            0,
+            '{"ok":false,"error":"usage: help is not available in --batch"}\n'
+            '{"ok":true,"result":-1}\n',
+            "",
+        )
+
+    def test_help_outside_batch_prints_and_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["-h"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: arithgenus")
+
     def test_parser_built_once(self, capsys, monkeypatch):
         built = []
         init = cli._Parser.__init__
@@ -268,6 +285,23 @@ GOLDEN_MAIN = [
         0,
         '{"ok":true,"result":{"primes":[7,13],"size":2,'
         '"members":["7:1/3,13:2/3","7:2/3,13:1/3"]}}',
+        "",
+    ),
+    # members in sign-product order over the primes as given, not sorted
+    (
+        ["family", "--primes=5,2,3,7"],
+        0,
+        '{"ok":true,"result":{"primes":[5,2,3,7],"size":6,"members":['
+        '"2:1/3,3:2/3,5:1/3,7:2/3","2:2/3,3:1/3,5:1/3,7:2/3","2:2/3,3:2/3,5:1/3,7:1/3",'
+        '"2:1/3,3:1/3,5:2/3,7:2/3","2:1/3,3:2/3,5:2/3,7:1/3","2:2/3,3:1/3,5:2/3,7:1/3"]}}',
+        "",
+    ),
+    (
+        ["genus", "--algebra=2:1/3,3:1/3,5:1/6,7:1/6"],
+        0,
+        '{"ok":true,"result":{"base":"2:1/3,3:1/3,5:1/6,7:1/6","size":6,"members":['
+        '"2:1/3,3:1/3,5:1/6,7:1/6","2:1/3,3:2/3,5:1/6,7:5/6","2:1/3,3:2/3,5:5/6,7:1/6",'
+        '"2:2/3,3:1/3,5:1/6,7:5/6","2:2/3,3:1/3,5:5/6,7:1/6","2:2/3,3:2/3,5:5/6,7:5/6"]}}',
         "",
     ),
     (

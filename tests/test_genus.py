@@ -180,6 +180,18 @@ class TestGenusEnumerate:
             orders = [cls.local_index(v) for v in cls.support]
             assert genus_enumerate(cls).size == oracles.genus_size_by_enumeration(orders)
 
+    def test_members_match_search_oracle(self):
+        rng = random.Random(RNG_SEED + 2)
+        for _ in range(60):
+            places = [Place(p) for p in rng.sample((2, 3, 5, 7, 11), rng.randrange(2, 5))]
+            invariants = {v: Fraction(rng.randrange(1, 7), rng.choice((2, 3, 4, 5, 6)))
+                          for v in places[:-1]}
+            if rng.random() < 0.3:
+                invariants[REAL_PLACE] = Fraction(1, 2)
+            invariants[places[-1]] = -sum(invariants.values())
+            cls = class_from_invariants(invariants)
+            assert genus_enumerate(cls).members == oracles.genus_members_by_search(cls), cls
+
     def test_genus_set_validation(self):
         cls = parse_class("2:1/3,3:2/3")
         with pytest.raises(ValueError):
@@ -229,6 +241,13 @@ class TestEpsilonFamily:
 
         for member in epsilon_family((2, 5, 11)):
             assert global_index(member) == 3
+
+    def test_family_is_genus_of_first_member(self):
+        rng = random.Random(RNG_SEED + 3)
+        for _ in range(12):
+            primes = rng.sample((2, 3, 5, 7, 11, 13, 17), rng.randrange(2, 7))
+            members = epsilon_family(primes)
+            assert set(members) == set(genus_enumerate(members[0]).members), primes
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):

@@ -252,6 +252,43 @@ class TestSO3:
             so3_groups_isomorphic(QF(1, 1), F1)
 
 
+def _odd_prime_coeff(rng):
+    # a nonzero rational whose odd primes lie in {3, 5, 7}, so that a pair of
+    # discriminants has at most 3 odd primes and the search stays small
+    num = rng.choice((-1, 1)) * 2 ** rng.randrange(3)
+    for p in (3, 5, 7):
+        num *= p ** rng.randrange(3)
+    return Fraction(num, rng.choice((1, 1, 2, 3)))
+
+
+def _similar_partner(rng, f):
+    # lam*f with coefficients permuted and rescaled by squares, then the
+    # isometry <a,b> = <a+b, ab(a+b)> on the first two slots when a+b != 0
+    lam = _odd_prime_coeff(rng)
+    coeffs = [lam * a * rng.choice((1, 4, 9, Fraction(1, 4))) for a in f.coeffs]
+    rng.shuffle(coeffs)
+    a, b = coeffs[0], coeffs[1]
+    if a + b:
+        coeffs[0], coeffs[1] = a + b, a * b * (a + b)
+    return QF(*coeffs)
+
+
+class TestSimilarityOracle:
+    def test_closed_form_matches_search(self):
+        rng = random.Random(RNG_SEED + 20)
+        similar = 0
+        for i in range(90):
+            dim = rng.choice((3, 5, 7))
+            f = QF(*(_odd_prime_coeff(rng) for _ in range(dim)))
+            g = _similar_partner(rng, f) if i % 2 else QF(
+                *(_odd_prime_coeff(rng) for _ in range(dim))
+            )
+            verdict = triple_commensurable(ArithmeticTriple(f), ArithmeticTriple(g))
+            assert verdict == oracles.similar_by_search(f, g), (f, g)
+            similar += verdict
+        assert 45 <= similar < 90  # every built partner is similar, not every random pair
+
+
 class TestTwins:
     def test_split_split(self):
         b = GroupB(QF(1, -1, 1, -1, 1, -1, 1))
@@ -311,6 +348,25 @@ class TestTwins:
                     assert min(form_invariants(form).signature) == 3
                     for v in (Place(2), Place(3), REAL_PLACE):
                         assert witt_index_local(form, v) == 3
+
+    def test_matches_place_by_place_oracle(self):
+        rng = random.Random(RNG_SEED + 12)
+        c_data = [
+            GroupC(BrauerClass(), 2),
+            GroupC(class_from_quaternion(-1, -1), 2, real_definite=True),
+            GroupC(class_from_quaternion(-1, -1), 2),
+            GroupC(class_from_quaternion(-1, 3), 2),
+            GroupC(class_from_quaternion(3, 5), 2),
+            GroupC(class_from_quaternion(-2, -5), 2, real_definite=True),
+        ]
+        hits = 0
+        for _ in range(60):
+            b = GroupB(QF(*(rng.choice((-6, -3, -2, -1, 1, 2, 3, 5)) for _ in range(5))))
+            for c in c_data:
+                got = twins(b, c)
+                assert got == oracles.twins_by_places(b, c), (b.form, c)
+                hits += got
+        assert hits
 
 
 class TestTriples:

@@ -58,6 +58,11 @@ class TestQuadUnit:
                 assert (a * b).norm == a.norm * b.norm
                 assert a * a.inverse() == QuadUnit(u.field, Fraction(1), Fraction(0), 1)
 
+    def test_large_power_splits(self):
+        u = fundamental_unit(2)
+        assert u**2000 == u**1000 * u**1000
+        assert u**-7 == (u**7).inverse()
+
     def test_exact_real_comparison(self):
         u = fundamental_unit(2)  # 1 + sqrt(2) ~ 2.414
         assert u.compare_real(2) == 1

@@ -134,6 +134,22 @@ class TestGroupsIntersect:
         assert witness in oracles.power_products(s1.values, 8)
         assert witness in oracles.power_products(s2.values, 8)
 
+    def test_each_value_factored_once(self, monkeypatch):
+        import arithgenus.weakcomm as weakcomm
+
+        calls = []
+        factor = weakcomm.factor
+
+        def counting_factor(q):
+            calls.append(q)
+            return factor(q)
+
+        monkeypatch.setattr(weakcomm, "factor", counting_factor)
+        s1 = RationalEigenvalues.of(6, 10, Fraction(-7, 9))
+        s2 = RationalEigenvalues.of(Fraction(3, 5), 7, 22)
+        assert intersection_witness(s1, s2) == Fraction(3, 5)
+        assert len(calls) == 6
+
     def test_trivial_intersection(self):
         assert not groups_intersect(
             RationalEigenvalues.of(6, 10), RationalEigenvalues.of(15)
