@@ -301,9 +301,10 @@ def _spectrum(algebra, bound, prec):
        build=lambda ns: {"bound": _bound(ns.bound), "a1": _class(ns.algebra1),
                          "a2": _class(ns.algebra2)})
 def _lencomm(a1, a2, bound):
+    # the verdict needs no bound; it is validated and echoed to keep the reply shape
     if bound is None:
         bound = spectrum.default_commensurability_bound(a1, a2)
-    return {"length_commensurable": spectrum.length_commensurable(a1, a2, bound), "bound": bound}
+    return {"length_commensurable": spectrum.length_commensurable(a1, a2), "bound": bound}
 
 
 @_verb("weakcomm", "weak commensurability of eigenvalue sets",
@@ -323,11 +324,8 @@ def _weakcomm(s1, s2):
                          "place": Place.parse(ns.place) if ns.place else None})
 def _inspect_form(form, place):
     if place is not None:
-        return {
-            "place": str(place),
-            "isotropic": qforms.is_isotropic_local(form, place),
-            "witt": qforms.witt_index_local(form, place),
-        }
+        witt = qforms.witt_index_local(form, place)
+        return {"place": str(place), "isotropic": witt > 0, "witt": witt}
     inv = qforms.form_invariants(form)
     return {
         "dim": inv.dim,

@@ -119,16 +119,16 @@ def _tuple_isotropic_local(n: int, disc: int, hasse: int, v: Place) -> bool:
 
 
 def is_isotropic_local(f: QuadraticForm, v: Place) -> bool:
-    inv = form_invariants(f)
-    if v.is_real:
-        return inv.signature[0] >= 1 and inv.signature[1] >= 1
-    return _tuple_isotropic_local(inv.dim, inv.disc, inv.hasse_at(v), v)
+    return witt_index_local(f, v) > 0
 
 
 def witt_index_local(f: QuadraticForm, v: Place) -> int:
     """Number of hyperbolic planes split off over the completion at v,
     by recursion on the residual invariants."""
-    inv = form_invariants(f)
+    return _witt_index(form_invariants(f), v)
+
+
+def _witt_index(inv: LocalInvariants, v: Place) -> int:
     if v.is_real:
         return min(inv.signature)
     n, disc, hasse = inv.dim, inv.disc, inv.hasse_at(v)
@@ -282,9 +282,10 @@ def twins(b: GroupB, c: GroupC) -> bool:
     """
     if b.rank != c.rank:
         raise ValueError(f"rank mismatch: B side has rank {b.rank}, C side {c.rank}")
-    return c.algebra.is_trivial() and all(
-        witt_index_local(b.form, v) == b.rank for v in _relevant_places(b.form)
-    )
+    if not c.algebra.is_trivial():
+        return False
+    inv = form_invariants(b.form)
+    return all(_witt_index(inv, v) == b.rank for v in _relevant_places(b.form))
 
 
 # ---------------------------------------------------------------------------
@@ -330,16 +331,14 @@ class ArithmeticTriple:
     def _warn_anisotropic_places(self):
         # S must avoid places where the group is anisotropic: S-arithmetic
         # subgroups cannot detect such places
-        form = None
-        if isinstance(self.group, QuadraticForm):
-            form = self.group
-        elif isinstance(self.group, GroupB):
-            form = self.group.form
+        inv = None
+        if self.places and isinstance(self.group, (QuadraticForm, GroupB)):
+            inv = form_invariants(_group_form(self.group))
         for p in sorted(self.places):
             v = Place(p)
             anisotropic = False
-            if form is not None:
-                anisotropic = witt_index_local(form, v) == 0
+            if inv is not None:
+                anisotropic = _witt_index(inv, v) == 0
             elif isinstance(self.group, BrauerClass):
                 anisotropic = self.group.invariant_at(v) != 0
             if anisotropic:

@@ -3,9 +3,10 @@
 For a quaternion division algebra over Q split at the real place, the
 admissible d are the squarefree d > 1 with Q(sqrt(d)) a maximal subfield;
 each contributes the generator log(eta(d)) of a ray of rational lengths.
-Bounded agreement of admissible sets decides length-commensurability for
-this family, since admissibility is a congruence condition at the finitely
-many ramified places.
+By the class-number formula eta(d) = eps(d)^(2h), so a generator is h times
+the length of the closed geodesic of the fundamental unit.  Two surfaces of
+this family are length-commensurable exactly when their algebras are
+isomorphic (Reid; Prasad-Rapinchuk), that is, when the classes are equal.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from mpmath import mp
 from .arith import is_squarefree
 from .brauer import BrauerClass, global_index
 from .genus import embeds_quadratic
-from .quadfield import QuadUnit, eta_analytic, unit_real_value
+from .quadfield import _GUARD_BITS, QuadUnit, class_number, fundamental_unit, unit_real_value
 
 
 @dataclass(frozen=True)
@@ -97,16 +98,21 @@ def admissible_set(algebra: BrauerClass, bound: int) -> list[int]:
 def spectrum_generators(
     algebra: BrauerClass, bound: int, precision: int = 128
 ) -> list[SpectrumGenerator]:
-    """One generator (d, log eta(d)) per admissible d up to the bound."""
+    """One generator (d, log eta(d)) per admissible d up to the bound, where
+    log eta(d) = h(d) * length(eps(d)), rounded once from guard bits."""
     generators = []
     for d in admissible_set(algebra, bound):
-        eta = eta_analytic(d, precision + 16)
+        h = class_number(d).class_number
+        geodesic = HyperbolicGeodesic(fundamental_unit(d))
+        with mp.workprec(precision + _GUARD_BITS):
+            log_eta = h * geodesic_length(geodesic, precision + _GUARD_BITS)
         with mp.workprec(precision):
-            generators.append(SpectrumGenerator(d, mp.log(eta)))
+            generators.append(SpectrumGenerator(d, +log_eta))
     return generators
 
 
 def default_commensurability_bound(a1: BrauerClass, a2: BrauerClass) -> int:
+    """max(200, p^2) for the largest ramified prime p, echoed by ``lencomm``."""
     largest = max(
         (v.prime for v in a1.support + a2.support if v.prime is not None),
         default=2,
@@ -114,16 +120,13 @@ def default_commensurability_bound(a1: BrauerClass, a2: BrauerClass) -> int:
     return max(200, largest * largest)
 
 
-def length_commensurable(
-    a1: BrauerClass, a2: BrauerClass, bound: int | None = None
-) -> bool:
+def length_commensurable(a1: BrauerClass, a2: BrauerClass) -> bool:
     """Whether the two quaternionic surfaces have the same rational length
-    spectrum, decided by equality of the admissible-d sets up to the bound."""
+    spectrum: exactly when the classes are equal, as distinct ramification
+    sets differ on some admissible d; no bound on d enters the verdict."""
     _check_surface_algebra(a1)
     _check_surface_algebra(a2)
-    if bound is None:
-        bound = default_commensurability_bound(a1, a2)
-    return admissible_set(a1, bound) == admissible_set(a2, bound)
+    return a1 == a2
 
 
 def weyl_main_term(q: WeylQuery) -> float:

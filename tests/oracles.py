@@ -414,3 +414,39 @@ def twins_by_places(b, c) -> bool:
     c_split = not c_ramified and not c.real_definite
     c_anisotropic = c_ramified and c.real_definite
     return (b_split and c_split) or (b_anisotropic and c_anisotropic)
+
+
+# ---------------------------------------------------------------------------
+# Closed forms of spectrum, recomputed by their former searches
+
+
+def spectrum_generators_by_sine_product(algebra, bound: int, precision: int = 128):
+    """One generator (d, log eta(d)) per admissible d up to the bound, with
+    eta(d) evaluated as the sine product over the discriminant."""
+    from mpmath import mp
+
+    from arithgenus.quadfield import eta_analytic
+    from arithgenus.spectrum import SpectrumGenerator, admissible_set
+
+    generators = []
+    for d in admissible_set(algebra, bound):
+        eta = eta_analytic(d, precision + 16)
+        with mp.workprec(precision):
+            generators.append(SpectrumGenerator(d, mp.log(eta)))
+    return generators
+
+
+def length_commensurable_by_admissible_sets(a1, a2, bound: int | None = None) -> bool:
+    """Length-commensurability of two quaternionic surfaces decided by
+    equality of the admissible-d sets up to the bound."""
+    from arithgenus.spectrum import (
+        _check_surface_algebra,
+        admissible_set,
+        default_commensurability_bound,
+    )
+
+    _check_surface_algebra(a1)
+    _check_surface_algebra(a2)
+    if bound is None:
+        bound = default_commensurability_bound(a1, a2)
+    return admissible_set(a1, bound) == admissible_set(a2, bound)

@@ -151,10 +151,11 @@ def test_criterion_6_fuchsian_commensurability_loop():
             classes.append(quaternion_class([Place(p) for p in support]))
     for c1 in classes:
         for c2 in classes:
-            got = length_commensurable(c1, c2, 200)
+            oracle = oracles.length_commensurable_by_admissible_sets(c1, c2, 200)
+            got = length_commensurable(c1, c2)
             crit.check(
-                got == (c1 == c2),
-                f"bounded test wrong for {c1} vs {c2}",
+                oracle == got == (c1 == c2),
+                f"bounded test {oracle}, closed form {got} for {c1} vs {c2}",
             )
     crit.finish()
 

@@ -112,6 +112,17 @@ class TestExecute:
         assert abs(report.result - 1.0) < 1e-12
 
 
+class TestLencomm:
+    def test_small_bound_does_not_change_verdict(self, capsys):
+        # admissible sets of 2,3 and 2,5 agree up to 2, but the classes differ
+        code, out, err = run_main(
+            ["lencomm", "--algebra1=2:1/2,3:1/2", "--algebra2=2:1/2,5:1/2", "--bound=2"], capsys
+        )
+        assert (code, out, err) == (
+            0, '{"ok":true,"result":{"length_commensurable":false,"bound":2}}\n', ""
+        )
+
+
 class TestMainAndExitCodes:
     def test_success_exit_zero(self, capsys):
         code, out, _ = run_main(["hilbert", "-1", "3", "3"], capsys)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from arithgenus import qforms
 from arithgenus.arith import Place, REAL_PLACE, hilbert_symbol
 from arithgenus.brauer import BrauerClass, class_from_quaternion, parse_class
 from arithgenus.qforms import (
@@ -32,6 +33,18 @@ F2 = QF(1, 2, -7)
 
 def random_form(rng, dim, bound=12):
     return QF(*(rng.choice([c for c in range(-bound, bound + 1) if c]) for _ in range(dim)))
+
+
+def count_form_invariants(monkeypatch):
+    calls = []
+    original = qforms.form_invariants
+
+    def counted(f):
+        calls.append(f)
+        return original(f)
+
+    monkeypatch.setattr(qforms, "form_invariants", counted)
+    return calls
 
 
 class TestFormInvariants:
@@ -349,6 +362,15 @@ class TestTwins:
                     for v in (Place(2), Place(3), REAL_PLACE):
                         assert witt_index_local(form, v) == 3
 
+    def test_invariants_computed_once(self, monkeypatch):
+        # hyperbolic pairs over 2..13 plus <1>: split, relevant at 2..13 and inf
+        coeffs = [c for p in (2, 3, 5, 7, 11, 13) for c in (p, -p)] + [1]
+        b = GroupB(QF(*coeffs))
+        assert len(qforms._relevant_places(b.form)) == 7
+        calls = count_form_invariants(monkeypatch)
+        assert twins(b, GroupC(BrauerClass(), 6))
+        assert len(calls) == 1
+
     def test_matches_place_by_place_oracle(self):
         rng = random.Random(RNG_SEED + 12)
         c_data = [
@@ -433,6 +455,13 @@ class TestTriples:
             assert triple_commensurable(t1, t1)
             for t2 in triples:
                 assert triple_commensurable(t1, t2) == triple_commensurable(t2, t1)
+
+    def test_anisotropic_place_check_computes_invariants_once(self, monkeypatch):
+        calls = count_form_invariants(monkeypatch)
+        ArithmeticTriple(QF(1, -1, 1, -1, 1), "Q", frozenset({2, 3, 5, 7, 11}))
+        assert len(calls) == 1
+        ArithmeticTriple(QF(1, -1, 1, -1, 1))
+        assert len(calls) == 1
 
     def test_anisotropic_place_in_s_warns(self):
         with pytest.warns(UserWarning):

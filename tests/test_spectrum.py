@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+import oracles
+from arithgenus import cli
 from arithgenus.arith import Place, is_squarefree, squarefree_part
 from arithgenus.brauer import (
     BrauerClass,
@@ -30,6 +32,15 @@ RNG_SEED = 60601
 
 def quaternion_like(support):
     return class_from_invariants({Place(p): Fraction(1, 2) for p in support})
+
+
+def verdicts(c1, c2, bound):
+    """The bounded search, the closed form and class equality, in that order."""
+    return (
+        oracles.length_commensurable_by_admissible_sets(c1, c2, bound),
+        length_commensurable(c1, c2),
+        c1 == c2,
+    )
 
 
 class TestGeodesicLength:
@@ -120,6 +131,15 @@ class TestSpectrumGenerators:
             with mp.workprec(128):
                 assert abs(mp.exp(g.log_eta) - eta_analytic(g.d, 128)) < mp.mpf(2) ** -100
 
+    def test_matches_sine_product_oracle(self):
+        cls = parse_class("2:1/2,3:1/2")
+        for precision in (64, 128, 192):
+            got = spectrum_generators(cls, 150, precision)
+            want = oracles.spectrum_generators_by_sine_product(cls, 150, precision)
+            assert [(g.d, cli._decimal(g.log_eta)) for g in got] == [
+                (g.d, cli._decimal(g.log_eta)) for g in want
+            ]
+
     def test_bound_validation(self):
         cls = class_from_quaternion(-1, 3)
         with pytest.raises(ValueError):
@@ -132,31 +152,29 @@ class TestSpectrumGenerators:
 
 class TestLengthCommensurable:
     def test_equal_classes(self):
-        assert length_commensurable(
-            class_from_quaternion(-1, 3), class_from_quaternion(2, 3), 200
-        )
+        c1, c2 = class_from_quaternion(-1, 3), class_from_quaternion(2, 3)
+        assert verdicts(c1, c2, 200) == (True, True, True)
 
     def test_distinct_classes(self):
-        assert not length_commensurable(
-            class_from_quaternion(-1, 3), class_from_quaternion(-1, 7), 200
-        )
+        c1, c2 = class_from_quaternion(-1, 3), class_from_quaternion(-1, 7)
+        assert verdicts(c1, c2, 200) == (False, False, False)
 
     def test_reflexive_and_symmetric(self):
         rng = random.Random(RNG_SEED)
         primes = (2, 3, 5, 7, 11, 13)
         pool = [quaternion_like(rng.sample(primes, rng.choice((2, 4)))) for _ in range(8)]
         for c1 in pool:
-            assert length_commensurable(c1, c1, 150)
+            assert verdicts(c1, c1, 150) == (True, True, True)
             for c2 in pool:
-                assert length_commensurable(c1, c2, 150) == length_commensurable(
-                    c2, c1, 150
-                )
+                oracle, closed, equal = verdicts(c1, c2, 150)
+                assert oracle == closed == equal
+                assert closed == length_commensurable(c2, c1)
 
     def test_default_bound(self):
         c1 = quaternion_like((2, 3))
         c2 = quaternion_like((2, 17))
         assert default_commensurability_bound(c1, c2) == 289
-        assert not length_commensurable(c1, c2)
+        assert verdicts(c1, c2, None) == (False, False, False)
 
     def test_agreement_means_equality_small_supports(self):
         # no two distinct surfaces in this family share admissible sets
@@ -166,7 +184,8 @@ class TestLengthCommensurable:
                 classes.append(quaternion_like(sub))
         for c1 in classes:
             for c2 in classes:
-                assert length_commensurable(c1, c2, 200) == (c1 == c2)
+                oracle, closed, equal = verdicts(c1, c2, 200)
+                assert oracle == closed == equal
 
 
 class TestWeyl:
