@@ -274,7 +274,7 @@ def _unit(d, norm_one):
     return {"d": d, "x": str(u.x), "y": str(u.y), "norm": u.norm, "text": str(u)}
 
 
-@_verb("eta", "sine-product unit eta(d)", _D_OPT, _PREC_OPT,
+@_verb("eta", "analytic unit eta(d) = eps(d)^(2h)", _D_OPT, _PREC_OPT,
        build=lambda ns: {"d": _squarefree_d(ns.d), "prec": _prec_bits(ns.prec)})
 def _eta(d, prec):
     return {"d": d, "eta": _decimal(quadfield.eta_analytic(d, prec))}
@@ -327,13 +327,14 @@ def _inspect_form(form, place):
         witt = qforms.witt_index_local(form, place)
         return {"place": str(place), "isotropic": witt > 0, "witt": witt}
     inv = qforms.form_invariants(form)
+    witt = qforms.witt_index_global(form)
     return {
         "dim": inv.dim,
         "disc": inv.disc,
         "signature": list(inv.signature),
         "hasse_minus_places": [str(v) for v in inv.hasse_minus],
-        "isotropic_global": qforms.is_isotropic_global(form),
-        "witt_global": qforms.witt_index_global(form),
+        "isotropic_global": witt > 0,
+        "witt_global": witt,
     }
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd
 
 from .arith import Place, is_local_square, is_prime, is_squarefree
-from .brauer import BrauerClass, class_from_invariants, global_index, index_profile
+from .brauer import BrauerClass, global_index, index_profile
 
 
 @dataclass(frozen=True)
@@ -118,14 +118,15 @@ def _zero_sum_classes(places, orders):
     no other ramification, in product order over the places as given: each
     invariant but the last is chosen, and the zero sum fixes the last."""
     if not places:
-        yield class_from_invariants({})
+        yield BrauerClass()
         return
     for combo in itertools.product(
         *(_exact_order_values(v, r) for v, r in zip(places[:-1], orders))
     ):
         last = -sum(combo, Fraction(0)) % 1
         if last.denominator == orders[-1]:
-            yield class_from_invariants(dict(zip(places, combo + (last,))))
+            # the values already lie in (0, 1); only the places need sorting
+            yield BrauerClass(tuple(sorted(zip(places, combo + (last,)), key=lambda e: e[0].sort_key())))
 
 
 def genus_enumerate(c: BrauerClass) -> GenusSet:

@@ -141,69 +141,19 @@ def _witt_index(inv: LocalInvariants, v: Place) -> int:
     return index
 
 
-@dataclass(frozen=True)
-class _GlobalState:
-    dim: int
-    disc: int
-    hasse_minus: frozenset[Place]
-    signature: tuple[int, int]
-
-
-def _global_state(inv: LocalInvariants) -> _GlobalState:
-    return _GlobalState(inv.dim, inv.disc, frozenset(inv.hasse_minus), inv.signature)
-
-
-def _state_places(state: _GlobalState) -> list[Place]:
-    places = set(support_places(state.disc))
-    places.update(state.hasse_minus)
-    return sorted(places, key=Place.sort_key)
-
-
-def _state_isotropic(state: _GlobalState) -> bool:
-    # Hasse-Minkowski from invariants: real place plus every finite place
-    # where disc or hasse is nontrivial (the criterion holds automatically
-    # elsewhere); dimensions <= 2 reduce to a rational square test
-    if state.dim <= 1:
-        return False
-    if min(state.signature) == 0:
-        return False
-    if state.dim == 2:
-        return state.disc == -1
-    if state.dim >= 5:
-        return True
-    for v in _state_places(state):
-        if v.is_real:
-            continue
-        hasse = -1 if v in state.hasse_minus else 1
-        if not _tuple_isotropic_local(state.dim, state.disc, hasse, v):
-            return False
-    return True
-
-
-def _state_residual(state: _GlobalState) -> _GlobalState:
-    flips = set()
-    for v in _state_places(state):
-        if hilbert_symbol(-1, -state.disc, v) == -1:
-            flips.add(v)
-    return _GlobalState(
-        state.dim - 2,
-        squarefree_part(-state.disc),
-        frozenset(state.hasse_minus) ^ flips,
-        (state.signature[0] - 1, state.signature[1] - 1),
-    )
-
-
 def is_isotropic_global(f: QuadraticForm) -> bool:
-    return _state_isotropic(_global_state(form_invariants(f)))
+    return witt_index_global(f) > 0
 
 
 def witt_index_global(f: QuadraticForm) -> int:
-    state = _global_state(form_invariants(f))
-    index = 0
-    while state.dim > 0 and _state_isotropic(state):
-        state = _state_residual(state)
-        index += 1
-    return index
+    """Witt index over Q: the least local Witt index (Hasse-Minkowski; Lam,
+    Introduction to Quadratic Forms over Fields, ch. VI).  Off the relevant
+    places the form is unimodular with Hasse invariant +1, so its local index
+    there is the largest its discriminant allows; a discriminant that lowers
+    it is a non-square at the real place, at 2 or at one of its odd primes,
+    all of which are relevant."""
+    inv = form_invariants(f)
+    return min(_witt_index(inv, v) for v in _relevant_places(f))
 
 
 def forms_equivalent(f: QuadraticForm, g: QuadraticForm) -> bool:

@@ -1,9 +1,9 @@
 """Real quadratic fields Q(sqrt(d)): fundamental units by continued
 fractions, narrow class numbers by cycles of reduced indefinite forms, and
-the analytic unit given by the sine product over the discriminant.
+the analytic unit eta(d) = eps(d)^(2h) of the class-number formula.
 
-The unit and class-number computations are exact; only the sine product and
-real embeddings use (high-precision) floating point via mpmath.
+The unit and class-number computations are exact; only real embeddings use
+(high-precision) floating point via mpmath.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from math import isqrt
 import mpmath
 from mpmath import mp
 
-from .arith import is_squarefree, kronecker_symbol
+from .arith import is_squarefree
 
 DEFAULT_MAX_D = 10**6
 _GUARD_BITS = 64
@@ -265,8 +265,11 @@ def class_number(d: int, max_d: int = DEFAULT_MAX_D) -> ClassData:
     """Narrow class number as the cycle count of reduced forms of the
     fundamental discriminant; the wide class number follows from the norm of
     the fundamental unit."""
-    _check_d(d, max_d)
-    field = QuadField(d)
+    return _class_data(fundamental_unit(d, max_d))
+
+
+def _class_data(eps: QuadUnit) -> ClassData:
+    field = eps.field
     disc = field.fundamental_discriminant
     forms = _reduced_forms(disc)
     remaining = set(forms)
@@ -282,7 +285,6 @@ def class_number(d: int, max_d: int = DEFAULT_MAX_D) -> ClassData:
                 raise RuntimeError(f"reduction left the reduced set at {current}")
             if current == start:
                 break
-    eps = fundamental_unit(d, max_d)
     if eps.norm == -1:
         h = cycles
     else:
@@ -293,27 +295,22 @@ def class_number(d: int, max_d: int = DEFAULT_MAX_D) -> ClassData:
 
 
 # ---------------------------------------------------------------------------
-# The analytic unit: a sine product over the fundamental discriminant.
+# The analytic unit, by the class-number formula.
 
 
 def eta_analytic(d: int, precision: int = 128, max_d: int = DEFAULT_MAX_D) -> mpmath.mpf:
-    """prod_{r=1}^{disc-1} sin(pi*r/disc)^(-chi(r)) where disc is the
-    fundamental discriminant of Q(sqrt(d)) and chi(r) is the Kronecker symbol
-    (disc/r); characters vanishing at r contribute a factor 1.
+    """The unit eta(d) = eps(d)^(2h) of the class-number formula, which
+    equals prod_{r=1}^{disc-1} sin(pi*r/disc)^(-chi(r)) for the fundamental
+    discriminant disc of Q(sqrt(d)) and chi(r) the Kronecker symbol (disc/r).
 
-    Evaluated as exp(-sum chi(r) log sin(pi r/disc)) with 64 guard bits.
+    eta has norm +1, so eta = 2x - 1/eta with 2x its integer trace; 1/eta is
+    taken at 64 guard bits and the difference is rounded once.
     """
     _check_d(d, max_d)
     if precision < 64:
         raise ValueError("precision must be at least 64 bits")
-    disc = QuadField(d).fundamental_discriminant
+    eps = fundamental_unit(d, max_d)
+    eta = eps ** (2 * _class_data(eps).class_number)
     with mp.workprec(precision + _GUARD_BITS):
-        log_eta = mp.mpf(0)
-        pi_over_disc = mp.pi / disc
-        for r in range(1, disc):
-            chi = kronecker_symbol(disc, r)
-            if chi:
-                log_eta -= chi * mp.log(mp.sin(pi_over_disc * r))
-        value = mp.exp(log_eta)
-    with mp.workprec(precision):
-        return +value
+        inverse = 1 / unit_real_value(eta, precision + _GUARD_BITS)
+    return mp.fsub(int(2 * eta.x), inverse, prec=precision)

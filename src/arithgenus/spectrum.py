@@ -20,7 +20,7 @@ from mpmath import mp
 from .arith import is_squarefree
 from .brauer import BrauerClass, global_index
 from .genus import embeds_quadratic
-from .quadfield import _GUARD_BITS, QuadUnit, class_number, fundamental_unit, unit_real_value
+from .quadfield import _GUARD_BITS, QuadUnit, _class_data, fundamental_unit, unit_real_value
 
 
 @dataclass(frozen=True)
@@ -102,8 +102,9 @@ def spectrum_generators(
     log eta(d) = h(d) * length(eps(d)), rounded once from guard bits."""
     generators = []
     for d in admissible_set(algebra, bound):
-        h = class_number(d).class_number
-        geodesic = HyperbolicGeodesic(fundamental_unit(d))
+        eps = fundamental_unit(d)
+        h = _class_data(eps).class_number
+        geodesic = HyperbolicGeodesic(eps)
         with mp.workprec(precision + _GUARD_BITS):
             log_eta = h * geodesic_length(geodesic, precision + _GUARD_BITS)
         with mp.workprec(precision):

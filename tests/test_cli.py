@@ -335,6 +335,14 @@ GOLDEN_MAIN = [
         '"eta":"2.6180339887498948480987898124183743675530422478914"}}',
         "",
     ),
+    # eta(435) = 52847209807841084161.99999999999999999998..., one ulp at 64
+    # bits is 4; the sine product rounded it up to ...164
+    (
+        ["eta", "--d=435", "--prec=64"],
+        0,
+        '{"ok":true,"prec":64,"result":{"d":435,"eta":"52847209807841084160.0"}}',
+        "",
+    ),
     (["classnum", "--d=10"], 0, '{"ok":true,"result":{"d":10,"h":2,"narrow":2}}', ""),
     (
         ["spectrum", "--algebra=2:1/2,3:1/2", "--bound=30"],

@@ -217,6 +217,17 @@ class TestGlobalWitt:
                 witt_index_local(f, v) for v in support_places(*f.coeffs)
             )
 
+    def test_matches_global_state_oracle(self):
+        # the former recursion on global invariants, against the minimum of
+        # the local indices; fractional and negative coefficients included
+        rng = random.Random(RNG_SEED + 9)
+        numerators = [c for c in range(-30, 31) if c]
+        for _ in range(400):
+            f = QF(*(Fraction(rng.choice(numerators), rng.randint(1, 12))
+                     for _ in range(rng.randint(1, 9))))
+            assert witt_index_global(f) == oracles.witt_index_by_global_states(f), f
+            assert is_isotropic_global(f) == oracles.isotropic_by_global_states(f), f
+
 
 class TestEquivalence:
     def test_ones_and_twos(self):

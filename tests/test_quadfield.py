@@ -5,7 +5,9 @@ import pytest
 from mpmath import mp
 
 import oracles
-from arithgenus.arith import kronecker_symbol
+from arithgenus import quadfield
+from arithgenus.arith import is_squarefree, kronecker_symbol
+from arithgenus.cli import _decimal
 from arithgenus.quadfield import (
     ClassData,
     QuadField,
@@ -198,7 +200,7 @@ class TestEtaAnalytic:
         # analytic product against the purely algebraic side, at 192 working
         # bits, for a range of d including a class number 3 and 4 case
         for d in (2, 3, 5, 6, 7, 10, 11, 13, 15, 79, 82):
-            eta = eta_analytic(d, 128)
+            eta = oracles.eta_by_sine_product(d, 128)
             h = class_number(d).class_number
             with mp.workprec(192):
                 algebraic = unit_real_value(fundamental_unit(d), 128) ** (2 * h)
@@ -231,6 +233,24 @@ class TestEtaAnalytic:
     def test_precision_validation(self):
         with pytest.raises(ValueError):
             eta_analytic(5, 32)
+
+    def test_matches_sine_product_oracle(self):
+        for d in filter(is_squarefree, range(2, 300)):
+            for precision in (128, 192):
+                want = _decimal(oracles.eta_by_sine_product(d, precision))
+                assert _decimal(eta_analytic(d, precision)) == want, (d, precision)
+
+    def test_one_fundamental_unit_per_call(self, monkeypatch):
+        calls = []
+        original = quadfield.fundamental_unit
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(quadfield, "fundamental_unit", counting)
+        eta_analytic(79)
+        assert calls == [(79, quadfield.DEFAULT_MAX_D)]
 
 
 class TestUnitRealValue:

@@ -7,7 +7,7 @@ import pytest
 from mpmath import mp
 
 import oracles
-from arithgenus import cli
+from arithgenus import cli, quadfield, spectrum
 from arithgenus.arith import Place, is_squarefree, squarefree_part
 from arithgenus.brauer import (
     BrauerClass,
@@ -139,6 +139,20 @@ class TestSpectrumGenerators:
             assert [(g.d, cli._decimal(g.log_eta)) for g in got] == [
                 (g.d, cli._decimal(g.log_eta)) for g in want
             ]
+
+    def test_one_fundamental_unit_per_generator(self, monkeypatch):
+        calls = []
+        original = quadfield.fundamental_unit
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        # spectrum holds its own binding of the name
+        monkeypatch.setattr(quadfield, "fundamental_unit", counting)
+        monkeypatch.setattr(spectrum, "fundamental_unit", counting)
+        gens = spectrum_generators(parse_class("2:1/2,3:1/2"), 300)
+        assert len(gens) == len(calls) == 95
 
     def test_bound_validation(self):
         cls = class_from_quaternion(-1, 3)
