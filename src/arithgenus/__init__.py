@@ -28,13 +28,10 @@ from .brauer import (
 )
 from .genus import (
     GenusSet,
-    LocalDegreeProfile,
     embeds_quadratic,
     epsilon_family,
     genus_enumerate,
-    quadratic_field_profile,
     same_maximal_subfields,
-    splits_with_profile,
 )
 from .quadfield import (
     ClassData,
@@ -50,7 +47,6 @@ from .spectrum import (
     HyperbolicGeodesic,
     SpectrumGenerator,
     WeylQuery,
-    admissible_d,
     admissible_set,
     geodesic_length,
     length_commensurable,
@@ -64,7 +60,6 @@ from .weakcomm import (
     RationalEigenvalues,
     groups_intersect,
     intersection_witness,
-    multiplicative_dependence,
     to_exponent_vector,
     weakly_commensurable,
 )
@@ -78,8 +73,6 @@ from .qforms import (
     forms_equivalent,
     is_isotropic_global,
     is_isotropic_local,
-    so3_groups_isomorphic,
-    triple_commensurable,
     triple_verdict,
     twins,
     witt_index_global,

@@ -1,8 +1,8 @@
 """Exact arithmetic over Q and its completions.
 
-Factorization, Kronecker/Legendre symbols, p-adic valuations, local square
-tests and Hilbert symbols.  All computations are on exact integers and
-Fractions; nothing in this module touches floating point.
+Factorization, Kronecker symbols, p-adic valuations, local square tests and
+Hilbert symbols.  All computations are on exact integers and Fractions;
+nothing in this module touches floating point.
 """
 
 from __future__ import annotations
@@ -254,12 +254,6 @@ def kronecker_symbol(a: int, n: int) -> int:
     return result * _jacobi(a, n)
 
 
-def legendre_symbol(a: int, p: int) -> int:
-    if not is_prime(p) or p == 2:
-        raise ValueError("legendre_symbol needs an odd prime")
-    return _jacobi(a, p)
-
-
 # ---------------------------------------------------------------------------
 # Local analysis
 
@@ -268,7 +262,11 @@ def padic_valuation(q: Rational, p: int) -> int:
     """Exponent of the prime p in the nonzero rational q."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    q = Fraction(q)
+    return _valuation(Fraction(q), p)
+
+
+def _valuation(q: Fraction, p: int) -> int:
+    # p is already known to be prime, e.g. the prime of a Place
     if q == 0:
         raise ValueError("valuation of 0 is undefined")
     v = 0
@@ -285,7 +283,7 @@ def padic_valuation(q: Rational, p: int) -> int:
 
 def _unit_part(q: Fraction, p: int) -> tuple[int, Fraction]:
     """Write q = p**v * u with u a p-adic unit; returns (v, u)."""
-    v = padic_valuation(q, p)
+    v = _valuation(q, p)
     return v, q / Fraction(p) ** v
 
 
@@ -337,19 +335,6 @@ def hilbert_symbol(a: Rational, b: Rational, v: Place) -> int:
     if alpha % 2:
         s *= _jacobi(_unit_mod(w, p, p), p)
     return s
-
-
-def local_square_class_generators(v: Place) -> tuple[int, ...]:
-    """A generating set for the square classes of the completion at v."""
-    if v.is_real:
-        return (-1,)
-    p = v.prime
-    if p == 2:
-        return (-1, 2, 5)
-    n_p = 2
-    while _jacobi(n_p, p) != -1:
-        n_p += 1
-    return (p, n_p)
 
 
 def support_places(*values: Rational) -> list[Place]:

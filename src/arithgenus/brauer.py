@@ -87,10 +87,9 @@ def class_from_invariants(
         reduced = _mod1(Fraction(value))
         if place in collected:
             raise ValueError(f"duplicate invariant for place {place}")
-        if reduced:
-            collected[place] = reduced
-    items = tuple(sorted(collected.items(), key=lambda kv: kv[0].sort_key()))
-    return BrauerClass(items)
+        collected[place] = reduced
+    items = sorted((kv for kv in collected.items() if kv[1]), key=lambda kv: kv[0].sort_key())
+    return BrauerClass(tuple(items))
 
 
 def class_from_quaternion(a: Rational, b: Rational) -> BrauerClass:
@@ -129,10 +128,6 @@ def global_index(c: BrauerClass) -> int:
     return index_profile(c)[1]
 
 
-def is_quaternion_division(c: BrauerClass) -> bool:
-    return global_index(c) == 2
-
-
 # ---------------------------------------------------------------------------
 # Text encoding: "2:1/3,3:1/3,5:1/3", "inf" for the real place, "" trivial.
 
@@ -145,10 +140,11 @@ def parse_class(text: str) -> BrauerClass:
     text = text.strip()
     if not text:
         return BrauerClass()
-    entries = {}
+    entries = []
     for chunk in text.split(","):
         place_text, _, value_text = chunk.partition(":")
         if not value_text:
             raise ValueError(f"malformed invariant entry {chunk!r}")
-        entries[Place.parse(place_text)] = Fraction(value_text)
+        entries.append((Place.parse(place_text), Fraction(value_text)))
+    # pairs in order, so that a repeated place is refused, not overwritten
     return class_from_invariants(entries)

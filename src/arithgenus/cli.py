@@ -105,12 +105,9 @@ def _bound(value: int | None) -> int | None:
 
 
 def _rational_set(text: str) -> weakcomm.RationalEigenvalues:
-    values = [_rational(chunk) for chunk in text.split(",") if chunk.strip()]
-    if not values:
-        raise UsageError("eigenvalue set must be nonempty")
-    if any(v == 0 for v in values):
-        raise UsageError("eigenvalues must be nonzero")
-    return weakcomm.RationalEigenvalues(tuple(values))
+    # an empty or zero-containing set raises ValueError, a usage error in parse
+    return weakcomm.RationalEigenvalues(
+        tuple(_rational(chunk) for chunk in text.split(",") if chunk.strip()))
 
 
 def _parse_triple(text: str) -> qforms.ArithmeticTriple:

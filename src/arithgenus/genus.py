@@ -19,43 +19,6 @@ from .brauer import BrauerClass, global_index, index_profile
 
 
 @dataclass(frozen=True)
-class LocalDegreeProfile:
-    """Local degree data of a number field F of degree n over Q: at each
-    listed place v, the degrees [F_w : Q_v] of the completions above v."""
-
-    degree: int
-    local_degrees: tuple[tuple[Place, tuple[int, ...]], ...]
-
-    def __post_init__(self):
-        if self.degree < 1:
-            raise ValueError("degree must be positive")
-        for place, degrees in self.local_degrees:
-            if sum(degrees) != self.degree:
-                raise ValueError(f"local degrees at {place} must sum to {self.degree}")
-            if place.is_real and any(d not in (1, 2) for d in degrees):
-                raise ValueError("real completions have degree 1 or 2")
-            if any(d < 1 for d in degrees):
-                raise ValueError("local degrees must be positive")
-
-    def degrees_at(self, v: Place) -> tuple[int, ...] | None:
-        for place, degrees in self.local_degrees:
-            if place == v:
-                return degrees
-        return None
-
-
-def quadratic_field_profile(d: int, places: list[Place]) -> LocalDegreeProfile:
-    """The degree profile of Q(sqrt(d)) at the given places: [2] where d is
-    not a local square, [1, 1] where it splits."""
-    if not is_squarefree(d) or d in (0, 1):
-        raise ValueError("d must be squarefree and different from 0, 1")
-    entries = tuple(
-        (v, (1, 1) if is_local_square(d, v) else (2,)) for v in places
-    )
-    return LocalDegreeProfile(2, entries)
-
-
-@dataclass(frozen=True)
 class GenusSet:
     """A base class together with all classes sharing its maximal subfields."""
 
@@ -65,9 +28,8 @@ class GenusSet:
     def __post_init__(self):
         if self.base not in self.members:
             raise ValueError("the base class must be among the members")
-        base_profile = index_profile(self.base)[0]
         for member in self.members:
-            if index_profile(member)[0] != base_profile:
+            if not same_maximal_subfields(member, self.base):
                 raise ValueError("members must share the base's local indices")
 
     @property
@@ -83,21 +45,12 @@ def embeds_quadratic(d: int, algebra: BrauerClass) -> bool:
         raise ValueError("algebra must be a quaternion division class (index 2)")
     if d in (0, 1) or not is_squarefree(d):
         raise ValueError("d must be squarefree and different from 0, 1")
+    return _embeds(d, algebra)
+
+
+def _embeds(d: int, algebra: BrauerClass) -> bool:
+    # embeds_quadratic for a d and a quaternion class already checked
     return all(not is_local_square(d, v) for v in algebra.support)
-
-
-def splits_with_profile(profile: LocalDegreeProfile, c: BrauerClass) -> bool:
-    """Whether a field with the given local degrees splits c: at every
-    ramified place, each completion degree must be divisible by the local
-    index."""
-    for v in c.support:
-        degrees = profile.degrees_at(v)
-        if degrees is None:
-            raise ValueError(f"profile is missing place {v} in the support of the class")
-        r = c.local_index(v)
-        if any(deg % r for deg in degrees):
-            return False
-    return True
 
 
 def same_maximal_subfields(c1: BrauerClass, c2: BrauerClass) -> bool:

@@ -170,14 +170,6 @@ def _forms_similar(f: QuadraticForm, g: QuadraticForm) -> bool:
     return forms_equivalent(f.scaled(_disc_class(f.coeffs) * _disc_class(g.coeffs)), g)
 
 
-def so3_groups_isomorphic(f: QuadraticForm, g: QuadraticForm) -> bool:
-    """Whether the rotation groups of two ternary forms are Q-isomorphic,
-    i.e. whether the forms are similar."""
-    if f.dim != 3 or g.dim != 3:
-        raise ValueError("both forms must be ternary")
-    return _forms_similar(f, g)
-
-
 # ---------------------------------------------------------------------------
 # Group data of types B and C, and the twins test.
 
@@ -343,7 +335,3 @@ def triple_verdict(t1: ArithmeticTriple, t2: ArithmeticTriple) -> tuple[bool, st
     if _forms_similar(_group_form(t1.group), _group_form(t2.group)):
         return True, None
     return False, "forms are not similar over Q"
-
-
-def triple_commensurable(t1: ArithmeticTriple, t2: ArithmeticTriple) -> bool:
-    return triple_verdict(t1, t2)[0]

@@ -141,11 +141,11 @@ def unit_real_value(u: QuadUnit, precision: int = 128) -> mpmath.mpf:
 # Fundamental unit by the continued fraction of sqrt(d) or (1+sqrt(d))/2.
 
 
-def _check_d(d: int, max_d: int) -> None:
-    if d <= 1 or not is_squarefree(d):
-        raise ValueError("d must be a squarefree integer > 1")
+def _check_d(d: int, max_d: int) -> QuadField:
+    field = QuadField(d)  # refuses d that is not a squarefree integer > 1
     if d > max_d:
         raise ValueError(f"d = {d} exceeds the supported bound {max_d}")
+    return field
 
 
 def fundamental_unit(d: int, max_d: int = DEFAULT_MAX_D) -> QuadUnit:
@@ -157,8 +157,7 @@ def fundamental_unit(d: int, max_d: int = DEFAULT_MAX_D) -> QuadUnit:
     corresponding convergent matrix fixes that quotient and its bottom row
     yields the fundamental unit.
     """
-    _check_d(d, max_d)
-    field = QuadField(d)
+    field = _check_d(d, max_d)
     if d % 4 == 1:
         big_d, p_cur, q_cur = d, 1, 2
     else:
@@ -306,10 +305,9 @@ def eta_analytic(d: int, precision: int = 128, max_d: int = DEFAULT_MAX_D) -> mp
     eta has norm +1, so eta = 2x - 1/eta with 2x its integer trace; 1/eta is
     taken at 64 guard bits and the difference is rounded once.
     """
-    _check_d(d, max_d)
+    eps = fundamental_unit(d, max_d)  # checks d before the precision
     if precision < 64:
         raise ValueError("precision must be at least 64 bits")
-    eps = fundamental_unit(d, max_d)
     eta = eps ** (2 * _class_data(eps).class_number)
     with mp.workprec(precision + _GUARD_BITS):
         inverse = 1 / unit_real_value(eta, precision + _GUARD_BITS)

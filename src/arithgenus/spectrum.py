@@ -19,7 +19,7 @@ from mpmath import mp
 
 from .arith import is_squarefree
 from .brauer import BrauerClass, global_index
-from .genus import embeds_quadratic
+from .genus import _embeds
 from .quadfield import _GUARD_BITS, QuadUnit, _class_data, fundamental_unit, unit_real_value
 
 
@@ -77,22 +77,13 @@ def _check_surface_algebra(algebra: BrauerClass) -> None:
         raise ValueError("algebra must split at the real place")
 
 
-def admissible_d(algebra: BrauerClass, d: int) -> bool:
-    """Whether Q(sqrt(d)), d squarefree > 1, is a maximal subfield of the
-    (real-split) quaternion division algebra."""
-    _check_surface_algebra(algebra)
-    if d <= 1 or not is_squarefree(d):
-        raise ValueError("d must be a squarefree integer > 1")
-    return embeds_quadratic(d, algebra)
-
-
 def admissible_set(algebra: BrauerClass, bound: int) -> list[int]:
+    """The squarefree d in [2, bound] with Q(sqrt(d)) a maximal subfield
+    (``embeds_quadratic``); the algebra and each d are checked once."""
     _check_surface_algebra(algebra)
     if bound < 2:
         raise ValueError("bound must be at least 2")
-    return [
-        d for d in range(2, bound + 1) if is_squarefree(d) and embeds_quadratic(d, algebra)
-    ]
+    return [d for d in range(2, bound + 1) if is_squarefree(d) and _embeds(d, algebra)]
 
 
 def spectrum_generators(

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Optional, Union
 
 from .arith import Rational, factor, is_prime
@@ -180,32 +179,6 @@ def _power_product(values: tuple[Fraction, ...], exponents: list[int]) -> Fracti
 
 # ---------------------------------------------------------------------------
 # Public predicates.
-
-
-def multiplicative_dependence(q1: Rational, q2: Rational) -> Optional[tuple[int, int]]:
-    """Minimal positive (m, n) with q1**m == q2**n, or None.
-
-    Exists iff the exponent vectors are proportional with the same
-    orientation; the sign obstruction is cleared by doubling.
-    """
-    q1, q2 = Fraction(q1), Fraction(q2)
-    if q1 in (1, -1) or q2 in (1, -1):
-        raise ValueError("torsion values have no multiplicative dependence data")
-    f1, f2 = factor(q1), factor(q2)
-    e1, e2 = dict(f1.factors), dict(f2.factors)
-    support = sorted(set(e1) | set(e2))
-    v1 = [e1.get(p, 0) for p in support]
-    v2 = [e2.get(p, 0) for p in support]
-    g1 = gcd(*v1)
-    g2 = gcd(*v2)
-    if [x // g1 for x in v1] != [x // g2 for x in v2]:
-        # covers opposite orientation too: no positive powers can match then
-        return None
-    g = gcd(g1, g2)
-    m, n = g2 // g, g1 // g
-    if (f1.sign == -1 and m % 2) != (f2.sign == -1 and n % 2):
-        m, n = 2 * m, 2 * n
-    return m, n
 
 
 def groups_intersect(s1: EigenvalueSet, s2: EigenvalueSet) -> bool:

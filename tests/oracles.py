@@ -562,3 +562,75 @@ def witt_index_by_global_states(f) -> int:
         state = _state_residual(state)
         index += 1
     return index
+
+
+# ---------------------------------------------------------------------------
+# Reference definitions for live local tests
+
+
+def local_square_class_generators(v: Place) -> tuple[int, ...]:
+    """A generating set for the square classes of the completion at v."""
+    from arithgenus.arith import _jacobi
+
+    if v.is_real:
+        return (-1,)
+    p = v.prime
+    if p == 2:
+        return (-1, 2, 5)
+    n_p = 2
+    while _jacobi(n_p, p) != -1:
+        n_p += 1
+    return (p, n_p)
+
+
+@dataclass(frozen=True)
+class LocalDegreeProfile:
+    """Local degree data of a number field F of degree n over Q: at each
+    listed place v, the degrees [F_w : Q_v] of the completions above v."""
+
+    degree: int
+    local_degrees: tuple[tuple[Place, tuple[int, ...]], ...]
+
+    def __post_init__(self):
+        if self.degree < 1:
+            raise ValueError("degree must be positive")
+        for place, degrees in self.local_degrees:
+            if sum(degrees) != self.degree:
+                raise ValueError(f"local degrees at {place} must sum to {self.degree}")
+            if place.is_real and any(d not in (1, 2) for d in degrees):
+                raise ValueError("real completions have degree 1 or 2")
+            if any(d < 1 for d in degrees):
+                raise ValueError("local degrees must be positive")
+
+    def degrees_at(self, v: Place) -> tuple[int, ...] | None:
+        for place, degrees in self.local_degrees:
+            if place == v:
+                return degrees
+        return None
+
+
+def quadratic_field_profile(d: int, places: list[Place]) -> LocalDegreeProfile:
+    """The degree profile of Q(sqrt(d)) at the given places: [2] where d is
+    not a local square, [1, 1] where it splits."""
+    from arithgenus.arith import is_local_square, is_squarefree
+
+    if not is_squarefree(d) or d in (0, 1):
+        raise ValueError("d must be squarefree and different from 0, 1")
+    entries = tuple(
+        (v, (1, 1) if is_local_square(d, v) else (2,)) for v in places
+    )
+    return LocalDegreeProfile(2, entries)
+
+
+def splits_with_profile(profile: LocalDegreeProfile, c) -> bool:
+    """Whether a field with the given local degrees splits c: at every
+    ramified place, each completion degree must be divisible by the local
+    index."""
+    for v in c.support:
+        degrees = profile.degrees_at(v)
+        if degrees is None:
+            raise ValueError(f"profile is missing place {v} in the support of the class")
+        r = c.local_index(v)
+        if any(deg % r for deg in degrees):
+            return False
+    return True

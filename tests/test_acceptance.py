@@ -29,7 +29,7 @@ from arithgenus.qforms import (
     form_invariants,
     is_isotropic_global,
     is_isotropic_local,
-    triple_commensurable,
+    triple_verdict,
     twins,
     witt_index_local,
 )
@@ -85,7 +85,7 @@ def test_criterion_2_ternary_example_and_triple_verdict():
     f1, f2 = QF(1, 1, -3), QF(1, 2, -7)
     crit.check(not is_isotropic_local(f1, Place(3)), "<1,1,-3> must be anisotropic at 3")
     crit.check(is_isotropic_local(f2, Place(3)), "<1,2,-7> must be isotropic at 3")
-    verdict = triple_commensurable(ArithmeticTriple(f1), ArithmeticTriple(f2))
+    verdict = triple_verdict(ArithmeticTriple(f1), ArithmeticTriple(f2))[0]
     crit.check(verdict is False, "the two triples must not be commensurable")
     crit.finish()
 

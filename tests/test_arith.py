@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
+from arithgenus import arith
 from arithgenus.arith import (
     Factorization,
     Place,
@@ -13,8 +15,6 @@ from arithgenus.arith import (
     is_prime,
     is_squarefree,
     kronecker_symbol,
-    legendre_symbol,
-    local_square_class_generators,
     padic_valuation,
     squarefree_part,
     support_places,
@@ -120,7 +120,7 @@ class TestKronecker:
                 euler = pow(a, (p - 1) // 2, p)
                 expected = 1 if euler == 1 else -1
                 assert kronecker_symbol(a, p) == expected
-                assert legendre_symbol(a, p) == expected
+                assert is_local_square(a, Place(p)) == (expected == 1)
 
     def test_completely_multiplicative(self):
         rng = random.Random(RNG_SEED)
@@ -152,6 +152,25 @@ class TestValuation:
     def test_composite_modulus_rejected(self):
         with pytest.raises(ValueError):
             padic_valuation(10, 4)
+
+    def test_place_prime_is_not_rechecked(self, monkeypatch):
+        # a Place checks its prime once; local tests at it trust that check
+        places = [Place(p) for p in (2, 3, 7)]
+        calls = []
+        original = arith.is_prime
+
+        def counting(n):
+            calls.append(n)
+            return original(n)
+
+        monkeypatch.setattr(arith, "is_prime", counting)
+        for v in places:
+            hilbert_symbol(Fraction(-12, 5), 21, v)
+            is_local_square(Fraction(63, 4), v)
+        assert calls == []
+        with pytest.raises(ValueError):
+            padic_valuation(10, 4)
+        assert calls == [4]
 
     def test_additive_on_products(self):
         rng = random.Random(RNG_SEED)
@@ -195,7 +214,7 @@ class TestLocalSquares:
             for v in places:
                 paired = all(
                     hilbert_symbol(q, r, v) == 1
-                    for r in local_square_class_generators(v)
+                    for r in oracles.local_square_class_generators(v)
                 )
                 assert paired == is_local_square(q, v)
 

@@ -170,3 +170,8 @@ class TestEncoding:
             parse_class("2:")
         with pytest.raises(ValueError):
             parse_class("nonsense")
+
+    def test_repeated_place_rejected(self):
+        for text in ("2:1/2,2:1/2,3:1/2,3:1/2", "2:1,2:1/2,3:1/2", "3:1/2,2:1/2,3:1/2"):
+            with pytest.raises(ValueError, match="duplicate invariant for place"):
+                parse_class(text)

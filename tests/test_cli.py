@@ -426,6 +426,33 @@ GOLDEN_MAIN = [
         '{"ok":false,"error":"usage: unrecognized arguments: --bogus"}',
     ),
     ([], 2, "", '{"ok":false,"error":"usage: a subcommand is required (or --batch)"}'),
+    # a repeated place is refused, not overwritten by its later entry
+    (
+        ["brauer", "--algebra=2:1/2,2:1/2,3:1/2,3:1/2"],
+        2,
+        "",
+        '{"ok":false,"error":"usage: malformed class \'2:1/2,2:1/2,3:1/2,3:1/2\': '
+        'duplicate invariant for place 2"}',
+    ),
+    (
+        ["genus", "--algebra=5:1/3,5:2/3,7:1/3,7:1/3"],
+        2,
+        "",
+        '{"ok":false,"error":"usage: malformed class \'5:1/3,5:2/3,7:1/3,7:1/3\': '
+        'duplicate invariant for place 5"}',
+    ),
+    (
+        ["weakcomm", "--set1=,", "--set2=2"],
+        2,
+        "",
+        '{"ok":false,"error":"usage: eigenvalue set must be nonempty"}',
+    ),
+    (
+        ["weakcomm", "--set1=2,0", "--set2=x"],
+        2,
+        "",
+        '{"ok":false,"error":"usage: eigenvalues must be nonzero"}',
+    ),
 ]
 GOLDEN_BATCH = [
     (

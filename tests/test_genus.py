@@ -14,14 +14,11 @@ from arithgenus.brauer import (
 )
 from arithgenus.genus import (
     GenusSet,
-    LocalDegreeProfile,
     embeds_quadratic,
     epsilon_family,
     genus_enumerate,
     genus_report,
-    quadratic_field_profile,
     same_maximal_subfields,
-    splits_with_profile,
 )
 
 RNG_SEED = 77003
@@ -53,36 +50,36 @@ class TestEmbedsQuadratic:
 class TestProfiles:
     def test_gaussian_profile_splits_minus_one_three(self):
         cls = class_from_quaternion(-1, 3)
-        profile = quadratic_field_profile(-1, list(cls.support))
-        assert splits_with_profile(profile, cls)
+        profile = oracles.quadratic_field_profile(-1, list(cls.support))
+        assert oracles.splits_with_profile(profile, cls)
 
     def test_degree_one_at_ramified_place_fails(self):
         cls = parse_class("2:1/3,3:2/3")
-        profile = LocalDegreeProfile(3, ((Place(2), (1, 1, 1)), (Place(3), (3,))))
-        assert not splits_with_profile(profile, cls)
+        profile = oracles.LocalDegreeProfile(3, ((Place(2), (1, 1, 1)), (Place(3), (3,))))
+        assert not oracles.splits_with_profile(profile, cls)
 
     def test_anything_splits_trivial_class(self):
-        profile = LocalDegreeProfile(3, ())
-        assert splits_with_profile(profile, parse_class(""))
+        profile = oracles.LocalDegreeProfile(3, ())
+        assert oracles.splits_with_profile(profile, parse_class(""))
 
     def test_missing_place_rejected(self):
         cls = class_from_quaternion(-1, 3)
-        profile = LocalDegreeProfile(2, ((Place(2), (2,)),))
+        profile = oracles.LocalDegreeProfile(2, ((Place(2), (2,)),))
         with pytest.raises(ValueError):
-            splits_with_profile(profile, cls)
+            oracles.splits_with_profile(profile, cls)
 
     def test_profile_validation(self):
         with pytest.raises(ValueError):
-            LocalDegreeProfile(2, ((Place(2), (1, 2)),))
+            oracles.LocalDegreeProfile(2, ((Place(2), (1, 2)),))
         with pytest.raises(ValueError):
-            LocalDegreeProfile(4, ((REAL_PLACE, (4,)),))
+            oracles.LocalDegreeProfile(4, ((REAL_PLACE, (4,)),))
 
     def test_profile_agrees_with_embedding_test(self):
         # quadratic splitting data matches the congruence test at every prime
         cls = class_from_quaternion(-1, 3)
         for d in (-10, -7, -5, -3, -2, -1, 2, 3, 5, 6, 7, 10, 11, 13):
-            profile = quadratic_field_profile(d, list(cls.support))
-            assert splits_with_profile(profile, cls) == embeds_quadratic(d, cls)
+            profile = oracles.quadratic_field_profile(d, list(cls.support))
+            assert oracles.splits_with_profile(profile, cls) == embeds_quadratic(d, cls)
 
 
 class TestSameMaximalSubfields:
@@ -196,6 +193,13 @@ class TestGenusEnumerate:
         cls = parse_class("2:1/3,3:2/3")
         with pytest.raises(ValueError):
             GenusSet(cls, (class_neg(cls),))
+
+    def test_members_must_have_same_maximal_subfields(self):
+        cls = parse_class("2:1/3,3:2/3")
+        other = parse_class("2:1/2,3:1/2")
+        with pytest.raises(ValueError, match="members must share the base's local indices"):
+            GenusSet(cls, (cls, other))
+        assert GenusSet(cls, (cls, class_neg(cls))).size == 2
 
     def test_report_shape(self):
         report = genus_report(genus_enumerate(parse_class("2:1/3,3:2/3")))

@@ -1,0 +1,46 @@
+"""Every name that ``arithgenus/__init__.py`` exports is used by another
+module of the package or wrapped by the benchmark tracer, so the public
+surface carries no names that only the tests call.  Test-only references
+live in ``tests/oracles.py``."""
+
+import ast
+from pathlib import Path
+
+import arithgenus
+from test_trace_targets import load_spans
+
+PACKAGE = Path(arithgenus.__file__).resolve().parent
+
+
+def exported_names():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+
+
+def names_used_by_package():
+    used = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                used.add(node.attr)
+    return used
+
+
+def traced_names():
+    return {attr.split(".")[0] for attrs in load_spans().TARGETS.values() for attr in attrs}
+
+
+def test_every_export_is_used_or_traced():
+    exported = exported_names()
+    assert exported and all(hasattr(arithgenus, name) for name in exported)
+    reached = names_used_by_package() | traced_names()
+    assert [name for name in exported if name not in reached] == []

@@ -16,8 +16,6 @@ from arithgenus.qforms import (
     forms_equivalent,
     is_isotropic_global,
     is_isotropic_local,
-    so3_groups_isomorphic,
-    triple_commensurable,
     triple_verdict,
     twins,
     witt_index_global,
@@ -33,6 +31,12 @@ F2 = QF(1, 2, -7)
 
 def random_form(rng, dim, bound=12):
     return QF(*(rng.choice([c for c in range(-bound, bound + 1) if c]) for _ in range(dim)))
+
+
+def commensurable(f, g):
+    """The verdict on the triples of two forms with empty place sets; for
+    ternary forms, whether their rotation groups are Q-isomorphic."""
+    return triple_verdict(ArithmeticTriple(f), ArithmeticTriple(g))[0]
 
 
 def count_form_invariants(monkeypatch):
@@ -253,13 +257,13 @@ class TestEquivalence:
 
 class TestSO3:
     def test_scaled_form(self):
-        assert so3_groups_isomorphic(F1, QF(2, 2, -6))
+        assert commensurable(F1, QF(2, 2, -6))
 
     def test_locally_distinguished_pair_not_isomorphic(self):
-        assert not so3_groups_isomorphic(F1, F2)
+        assert not commensurable(F1, F2)
 
     def test_reflexive(self):
-        assert so3_groups_isomorphic(F2, F2)
+        assert commensurable(F2, F2)
 
     def test_similarity_invariance_of_isotropy(self):
         # a similar pair has identical local isotropy everywhere, so any
@@ -267,13 +271,14 @@ class TestSO3:
         rng = random.Random(RNG_SEED + 10)
         for _ in range(40):
             f, g = random_form(rng, 3, 8), random_form(rng, 3, 8)
-            if so3_groups_isomorphic(f, g):
+            if commensurable(f, g):
                 for v in (Place(2), Place(3), Place(5), Place(7), REAL_PLACE):
                     assert is_isotropic_local(f, v) == is_isotropic_local(g, v)
 
     def test_needs_ternary(self):
+        # a binary form is not an orthogonal group datum
         with pytest.raises(ValueError):
-            so3_groups_isomorphic(QF(1, 1), F1)
+            commensurable(QF(1, 1), F1)
 
 
 def _odd_prime_coeff(rng):
@@ -307,7 +312,7 @@ class TestSimilarityOracle:
             g = _similar_partner(rng, f) if i % 2 else QF(
                 *(_odd_prime_coeff(rng) for _ in range(dim))
             )
-            verdict = triple_commensurable(ArithmeticTriple(f), ArithmeticTriple(g))
+            verdict = commensurable(f, g)
             assert verdict == oracles.similar_by_search(f, g), (f, g)
             similar += verdict
         assert 45 <= similar < 90  # every built partner is similar, not every random pair
@@ -406,11 +411,11 @@ class TestTriples:
     def test_ternary_form_verdicts(self):
         t1 = ArithmeticTriple(F1)
         t2 = ArithmeticTriple(F2)
-        assert not triple_commensurable(t1, t2)
-        assert triple_commensurable(t1, ArithmeticTriple(QF(2, 2, -6)))
-        assert not triple_commensurable(
+        assert not triple_verdict(t1, t2)[0]
+        assert triple_verdict(t1, ArithmeticTriple(QF(2, 2, -6)))[0]
+        assert not triple_verdict(
             ArithmeticTriple(F1, "Q", frozenset({5})), t1
-        )
+        )[0]
 
     def test_field_tag_mismatch(self):
         t1 = ArithmeticTriple(F1)
@@ -428,8 +433,8 @@ class TestTriples:
         t1 = ArithmeticTriple(class_from_quaternion(-1, 3))
         t2 = ArithmeticTriple(class_from_quaternion(2, 3))
         t3 = ArithmeticTriple(class_from_quaternion(-1, 7))
-        assert triple_commensurable(t1, t2)  # equal classes
-        assert not triple_commensurable(t1, t3)
+        assert triple_verdict(t1, t2)[0]  # equal classes
+        assert not triple_verdict(t1, t3)[0]
 
     def test_kind_mismatch_is_verdict_not_error(self):
         t1 = ArithmeticTriple(F1)
@@ -453,7 +458,7 @@ class TestTriples:
         f = QF(1, -1, 1, -1, 1)
         t1 = ArithmeticTriple(GroupB(f))
         t2 = ArithmeticTriple(GroupB(f.scaled(3)))
-        assert triple_commensurable(t1, t2)
+        assert triple_verdict(t1, t2)[0]
 
     def test_reflexive_and_symmetric(self):
         triples = [
@@ -463,9 +468,9 @@ class TestTriples:
             ArithmeticTriple(class_from_quaternion(-1, 3)),
         ]
         for t1 in triples:
-            assert triple_commensurable(t1, t1)
+            assert triple_verdict(t1, t1)[0]
             for t2 in triples:
-                assert triple_commensurable(t1, t2) == triple_commensurable(t2, t1)
+                assert triple_verdict(t1, t2)[0] == triple_verdict(t2, t1)[0]
 
     def test_anisotropic_place_check_computes_invariants_once(self, monkeypatch):
         calls = count_form_invariants(monkeypatch)

@@ -73,6 +73,18 @@ class TestQuadUnit:
         assert u.inverse().compare_real(1) == -1
 
 
+def count_squarefree(monkeypatch):
+    calls = []
+    original = quadfield.is_squarefree
+
+    def counting(n):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setattr(quadfield, "is_squarefree", counting)
+    return calls
+
+
 class TestFundamentalUnit:
     def test_frozen_small_cases(self):
         assert fundamental_unit(2) == QuadUnit(QuadField(2), Fraction(1), Fraction(1), -1)
@@ -123,6 +135,11 @@ class TestFundamentalUnit:
     def test_cap_configurable(self):
         with pytest.raises(ValueError):
             fundamental_unit(9973 * 2, max_d=100)
+
+    def test_d_checked_once(self, monkeypatch):
+        calls = count_squarefree(monkeypatch)
+        fundamental_unit(79)
+        assert calls == [79]
 
 
 class TestNormOneUnit:
@@ -251,6 +268,18 @@ class TestEtaAnalytic:
         monkeypatch.setattr(quadfield, "fundamental_unit", counting)
         eta_analytic(79)
         assert calls == [(79, quadfield.DEFAULT_MAX_D)]
+
+    def test_d_checked_once(self, monkeypatch):
+        calls = count_squarefree(monkeypatch)
+        eta_analytic(79)
+        assert calls == [79]
+
+    def test_errors_in_check_order(self):
+        # d before its bound before the precision
+        for args, message in (((12, 10, 100), "squarefree"), ((101, 10, 100), "exceeds"),
+                              ((79, 10, 100), "precision")):
+            with pytest.raises(ValueError, match=message):
+                eta_analytic(*args)
 
 
 class TestUnitRealValue:

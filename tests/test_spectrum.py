@@ -7,7 +7,7 @@ import pytest
 from mpmath import mp
 
 import oracles
-from arithgenus import cli, quadfield, spectrum
+from arithgenus import brauer, cli, genus, quadfield, spectrum
 from arithgenus.arith import Place, is_squarefree, squarefree_part
 from arithgenus.brauer import (
     BrauerClass,
@@ -15,11 +15,12 @@ from arithgenus.brauer import (
     class_from_quaternion,
     parse_class,
 )
+from arithgenus.genus import embeds_quadratic
 from arithgenus.quadfield import QuadField, QuadUnit, fundamental_unit, norm_one_unit
 from arithgenus.spectrum import (
     HyperbolicGeodesic,
     WeylQuery,
-    admissible_d,
+    admissible_set,
     default_commensurability_bound,
     geodesic_length,
     length_commensurable,
@@ -86,25 +87,26 @@ class TestGeodesicLength:
 class TestAdmissible:
     def test_examples(self):
         cls = class_from_quaternion(-1, 3)
-        assert admissible_d(cls, 2)
-        assert admissible_d(cls, 5)
-        assert not admissible_d(cls, 7)
+        admissible = admissible_set(cls, 7)
+        assert 2 in admissible
+        assert 5 in admissible
+        assert 7 not in admissible
 
     def test_rejects_ramified_at_real(self):
         with pytest.raises(ValueError):
-            admissible_d(class_from_quaternion(-1, -1), 2)
+            admissible_set(class_from_quaternion(-1, -1), 2)
 
     def test_rejects_non_division(self):
         with pytest.raises(ValueError):
-            admissible_d(BrauerClass(), 2)
+            admissible_set(BrauerClass(), 2)
         with pytest.raises(ValueError):
-            admissible_d(parse_class("2:1/3,3:2/3"), 2)
+            admissible_set(parse_class("2:1/3,3:2/3"), 2)
 
     def test_rejects_bad_d(self):
         cls = class_from_quaternion(-1, 3)
-        for bad in (0, 1, -2, 8):
+        for bad in (0, 1, 8):
             with pytest.raises(ValueError):
-                admissible_d(cls, bad)
+                embeds_quadratic(bad, cls)
 
     def test_depends_only_on_square_class(self):
         cls = class_from_quaternion(-1, 3)
@@ -112,7 +114,30 @@ class TestAdmissible:
             for m in (2, 3, 5):
                 reduced = squarefree_part(d * m * m)
                 if reduced > 1:
-                    assert admissible_d(cls, reduced) == admissible_d(cls, d)
+                    assert embeds_quadratic(reduced, cls) == embeds_quadratic(d, cls)
+
+    def test_each_d_and_the_algebra_checked_once(self, monkeypatch):
+        squarefree_calls, index_calls = [], []
+
+        def counting(calls, original):
+            def wrapper(*args):
+                calls.append(args)
+                return original(*args)
+            return wrapper
+
+        # each module holds its own binding of the names
+        for module in (spectrum, genus):
+            monkeypatch.setattr(module, "is_squarefree",
+                                counting(squarefree_calls, module.is_squarefree))
+            monkeypatch.setattr(module, "global_index",
+                                counting(index_calls, brauer.global_index))
+        cls = parse_class("2:1/2,3:1/2")
+        admissible = admissible_set(cls, 300)
+        assert sorted(d for (d,) in squarefree_calls) == list(range(2, 301))
+        assert len(index_calls) == 1
+        monkeypatch.undo()
+        assert admissible == [d for d in range(2, 301)
+                              if is_squarefree(d) and embeds_quadratic(d, cls)]
 
 
 class TestSpectrumGenerators:
@@ -120,7 +145,7 @@ class TestSpectrumGenerators:
         cls = class_from_quaternion(-1, 3)
         gens = spectrum_generators(cls, 10, 96)
         assert [g.d for g in gens] == [d for d in range(2, 11)
-                                       if is_squarefree(d) and admissible_d(cls, d)]
+                                       if is_squarefree(d) and embeds_quadratic(d, cls)]
         assert all(g.log_eta > 0 for g in gens)
 
     def test_log_eta_matches_eta(self):
