@@ -14,10 +14,14 @@ from typing import Union
 
 Rational = Union[int, Fraction]
 
-_TRIAL_BOUND = 10**6
+_TRIAL_BOUND = 2**12
 # Deterministic Miller-Rabin witness set; proves primality for n < 3.317e24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _RHO_TRIES = 32
+# Brent-rho iterations one factorization may spend in total (about a second
+# in CPython); rho finds a prime factor p in about sqrt(p) iterations, so
+# every factor below about 2**34 is found well within it.
+_RHO_BUDGET = 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -83,39 +87,51 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _brent_rho(n: int, c: int) -> int:
+def _brent_rho(n: int, c: int, budget: int) -> tuple[int, int]:
     # Brent's cycle variant of Pollard rho with a fixed increment c.
-    # Returns a nontrivial factor or n on failure.
+    # Returns (g, steps): a nontrivial factor g, or n on failure, and the
+    # iterations spent.  Raises before a round would pass `budget` iterations.
     if n % 2 == 0:
-        return 2
+        return 2, 0
     y, m, g, r, q = 2, 128, 1, 1, 1
     x = ys = y
+    steps = 0
     while g == 1:
+        if steps + 2 * r > budget:
+            raise ValueError(
+                f"factorization gave up: no factor of {n} within {_RHO_BUDGET} rho iterations")
         x = y
         for _ in range(r):
             y = (y * y + c) % n
+        steps += r
         k = 0
         while k < r and g == 1:
             ys = y
-            for _ in range(min(m, r - k)):
+            block = min(m, r - k)
+            for _ in range(block):
                 y = (y * y + c) % n
                 q = q * abs(x - y) % n
+            steps += block
             g = gcd(q, n)
             k += m
         r *= 2
     if g == n:
+        # the product passed a multiple of n inside the last block (at most
+        # m steps); redo that block one gcd at a time
         g = 1
         while g == 1:
             ys = (ys * ys + c) % n
+            steps += 1
             g = gcd(abs(x - ys), n)
-    return g
+    return g, steps
 
 
 def _factor_positive(n: int) -> dict[int, int]:
     """Factor n >= 1 into a prime -> exponent map.
 
-    Trial division up to 10**6, then deterministic Brent-rho splitting with
-    increasing increments.  A composite that survives every attempt raises
+    Trial division up to 2**12, then deterministic Brent-rho splitting with
+    increasing increments and at most _RHO_BUDGET iterations in total.  A
+    composite that survives every attempt or the budget raises ValueError
     rather than being reported as prime.
     """
     factors: dict[int, int] = {}
@@ -135,6 +151,7 @@ def _factor_positive(n: int) -> dict[int, int]:
         # either below the trial bound squared (so prime) or certified prime
         factors[n] = factors.get(n, 0) + 1
         return factors
+    budget = _RHO_BUDGET
     stack = [n]
     while stack:
         m = stack.pop()
@@ -142,12 +159,13 @@ def _factor_positive(n: int) -> dict[int, int]:
             factors[m] = factors.get(m, 0) + 1
             continue
         for c in range(1, _RHO_TRIES + 1):
-            g = _brent_rho(m, c)
+            g, steps = _brent_rho(m, c, budget)
+            budget -= steps
             if 1 < g < m:
                 stack.extend((g, m // g))
                 break
         else:
-            raise RuntimeError(f"factorization failed: composite leftover {m}")
+            raise ValueError(f"factorization failed: composite leftover {m}")
     return factors
 
 

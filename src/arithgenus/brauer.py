@@ -34,18 +34,20 @@ class BrauerClass:
     invariants: tuple[tuple[Place, Fraction], ...] = ()
 
     def __post_init__(self):
-        total = Fraction(0)
-        keys = []
+        keys, ratios = [], []
         for place, value in self.invariants:
-            if not (0 < value < 1):
+            num, den = value.as_integer_ratio()
+            if not 0 < num < den:
                 raise ValueError("stored invariants must lie strictly in (0,1)")
             if place.is_real and value != HALF:
                 raise ValueError("real-place invariant must be 0 or 1/2")
             keys.append(place.sort_key())
-            total += value
+            ratios.append((num, den))
         if keys != sorted(set(keys)):
             raise ValueError("invariants must be sorted by place, without repeats")
-        if total.denominator != 1:
+        # the zero sum as an integer sum of numerators over the common denominator
+        common = lcm(*(den for _, den in ratios))
+        if sum(num * (common // den) for num, den in ratios) % common:
             raise ValueError("local invariants must sum to 0 in Q/Z")
 
     # -- basic structure

@@ -32,7 +32,7 @@ from typing import Any, Callable
 from mpmath import mp
 
 from . import brauer, genus, qforms, quadfield, spectrum, weakcomm
-from .arith import Place, hilbert_symbol, is_squarefree
+from .arith import Place, hilbert_symbol
 
 DISPLAY_DIGITS = 50
 DEFAULT_PREC_BITS = 192
@@ -92,10 +92,12 @@ def _form(text: str) -> qforms.QuadraticForm:
         raise UsageError(f"malformed form {text!r}: {exc}") from None
 
 
-def _squarefree_d(value: int) -> int:
-    if value <= 1 or not is_squarefree(value):
-        raise UsageError(f"d must be a squarefree integer > 1, got {value}")
-    return value
+def _quad_field(value: int) -> quadfield.QuadField:
+    # the one squarefree test of d; the library takes the built field as is
+    try:
+        return quadfield.QuadField(value)
+    except ValueError:
+        raise UsageError(f"d must be a squarefree integer > 1, got {value}") from None
 
 
 def _bound(value: int | None) -> int | None:
@@ -265,23 +267,23 @@ def _family(primes):
 
 @_verb("unit", "fundamental unit of Q(sqrt(d))", _D_OPT,
        _opt("--norm-one", action="store_true", help="smallest unit of norm +1"),
-       build=lambda ns: {"d": _squarefree_d(ns.d), "norm_one": ns.norm_one})
-def _unit(d, norm_one):
-    u = quadfield.norm_one_unit(d) if norm_one else quadfield.fundamental_unit(d)
-    return {"d": d, "x": str(u.x), "y": str(u.y), "norm": u.norm, "text": str(u)}
+       build=lambda ns: {"field": _quad_field(ns.d), "norm_one": ns.norm_one})
+def _unit(field, norm_one):
+    u = quadfield.norm_one_unit(field) if norm_one else quadfield.fundamental_unit(field)
+    return {"d": field.d, "x": str(u.x), "y": str(u.y), "norm": u.norm, "text": str(u)}
 
 
 @_verb("eta", "analytic unit eta(d) = eps(d)^(2h)", _D_OPT, _PREC_OPT,
-       build=lambda ns: {"d": _squarefree_d(ns.d), "prec": _prec_bits(ns.prec)})
-def _eta(d, prec):
-    return {"d": d, "eta": _decimal(quadfield.eta_analytic(d, prec))}
+       build=lambda ns: {"field": _quad_field(ns.d), "prec": _prec_bits(ns.prec)})
+def _eta(field, prec):
+    return {"d": field.d, "eta": _decimal(quadfield.eta_analytic(field, prec))}
 
 
 @_verb("classnum", "class number of Q(sqrt(d))", _D_OPT,
-       build=lambda ns: {"d": _squarefree_d(ns.d)})
-def _classnum(d):
-    data = quadfield.class_number(d)
-    return {"d": d, "h": data.class_number, "narrow": data.narrow_class_number}
+       build=lambda ns: {"field": _quad_field(ns.d)})
+def _classnum(field):
+    data = quadfield.class_number(field)
+    return {"d": field.d, "h": data.class_number, "narrow": data.narrow_class_number}
 
 
 @_verb("spectrum", "rational length spectrum generators", _opt("--algebra", required=True),

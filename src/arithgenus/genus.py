@@ -5,6 +5,12 @@ local index at every place (and hence equal degree); over Q the genus of a
 class is therefore the finite set of classes matching its local index
 profile.  Invariants sum to 0, so the genus is enumerated over every place
 but the last, which the zero sum fixes.
+
+The enumeration adds integer numerators mod L, the lcm of the local orders
+r_v, and looks the last invariant up from the residue of minus the sum.  It
+visits the product of phi(r_v) over every place but the last; a genus or
+epsilon family needing more than MAX_GENUS_COMBINATIONS is refused with
+ValueError before any is visited.
 """
 
 from __future__ import annotations
@@ -12,10 +18,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
 
-from .arith import Place, is_local_square, is_prime, is_squarefree
+from .arith import Place, _factor_positive, is_local_square, is_prime, is_squarefree
 from .brauer import BrauerClass, global_index, index_profile
+
+# Most combinations one genus or epsilon-family enumeration may visit (a
+# 12-prime epsilon family visits 2**11)
+MAX_GENUS_COMBINATIONS = 2**16
 
 
 @dataclass(frozen=True)
@@ -59,34 +69,56 @@ def same_maximal_subfields(c1: BrauerClass, c2: BrauerClass) -> bool:
     return index_profile(c1) == index_profile(c2)
 
 
-def _exact_order_values(v: Place, order: int) -> list[Fraction]:
-    if v.is_real:
-        # the only nonzero invariant allowed at the real place
-        return [Fraction(1, 2)]
-    return [Fraction(k, order) for k in range(1, order) if gcd(k, order) == 1]
+def _totient(r: int) -> int:
+    result = r
+    for p in _factor_positive(r):
+        result = result // p * (p - 1)
+    return result
 
 
-def _zero_sum_classes(places, orders):
+def _zero_sum_classes(places, orders) -> list[BrauerClass]:
     """Classes with an invariant of exact order orders[i] at places[i] and
     no other ramification, in product order over the places as given: each
-    invariant but the last is chosen, and the zero sum fixes the last."""
+    invariant but the last is chosen, and the zero sum fixes the last.
+
+    The invariants are summed as integer numerators mod L = lcm(orders); the
+    last one is looked up from the residue of minus the sum.  Refuses, before
+    enumerating, more than MAX_GENUS_COMBINATIONS choices (the product of
+    phi(r) over every place but the last).
+    """
     if not places:
-        yield BrauerClass()
-        return
-    for combo in itertools.product(
-        *(_exact_order_values(v, r) for v, r in zip(places[:-1], orders))
-    ):
-        last = -sum(combo, Fraction(0)) % 1
-        if last.denominator == orders[-1]:
-            # the values already lie in (0, 1); only the places need sorting
-            yield BrauerClass(tuple(sorted(zip(places, combo + (last,)), key=lambda e: e[0].sort_key())))
+        return [BrauerClass()]
+    combinations = prod(_totient(r) for r in orders[:-1])
+    if combinations > MAX_GENUS_COMBINATIONS:
+        raise ValueError(f"genus enumeration needs {combinations} combinations, "
+                         f"above the limit {MAX_GENUS_COMBINATIONS}")
+    modulus = lcm(*orders)
+
+    def values(v, r):
+        # (numerator mod L, stored pair) for each invariant k/r of exact order r;
+        # a real place has r = 2, so its only value is 1/2
+        return [(k * (modulus // r), (v, Fraction(k, r))) for k in range(1, r) if gcd(k, r) == 1]
+
+    chosen = [values(v, r) for v, r in zip(places[:-1], orders)]
+    closing = dict(values(places[-1], orders[-1]))
+    canonical = sorted(range(len(places)), key=lambda i: places[i].sort_key())
+    members = []
+    for combo in itertools.product(*chosen):
+        last = closing.get(-sum(num for num, _ in combo) % modulus)
+        if last is not None:
+            pairs = [pair for _, pair in combo]
+            pairs.append(last)
+            members.append(BrauerClass(tuple(pairs[i] for i in canonical)))
+    return members
 
 
 def genus_enumerate(c: BrauerClass) -> GenusSet:
     """All classes with the same local index as c at every place."""
     support = c.support
-    members = list(_zero_sum_classes(support, [c.local_index(v) for v in support]))
-    members.sort(key=lambda m: tuple(value for _, value in m.invariants))
+    members = _zero_sum_classes(support, [c.local_index(v) for v in support])
+    # members share their places and local orders, so numerators order them
+    # as the invariants would
+    members.sort(key=lambda m: tuple(value.numerator for _, value in m.invariants))
     return GenusSet(c, tuple(members))
 
 
@@ -106,7 +138,7 @@ def epsilon_family(primes: list[int] | tuple[int, ...]) -> list[BrauerClass]:
     for p in primes:
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-    return list(_zero_sum_classes([Place(p) for p in primes], [3] * len(primes)))
+    return _zero_sum_classes([Place(p) for p in primes], [3] * len(primes))
 
 
 def genus_report(genus: GenusSet) -> dict:

@@ -32,6 +32,13 @@ class QuadField:
         if self.d <= 1 or not is_squarefree(self.d):
             raise ValueError("d must be a squarefree integer > 1")
 
+    @classmethod
+    def _known_squarefree(cls, d: int) -> "QuadField":
+        # for a d > 1 its caller has already found squarefree: skips the test
+        field = object.__new__(cls)
+        object.__setattr__(field, "d", d)
+        return field
+
     @property
     def fundamental_discriminant(self) -> int:
         return self.d if self.d % 4 == 1 else 4 * self.d
@@ -141,14 +148,16 @@ def unit_real_value(u: QuadUnit, precision: int = 128) -> mpmath.mpf:
 # Fundamental unit by the continued fraction of sqrt(d) or (1+sqrt(d))/2.
 
 
-def _check_d(d: int, max_d: int) -> QuadField:
-    field = QuadField(d)  # refuses d that is not a squarefree integer > 1
-    if d > max_d:
-        raise ValueError(f"d = {d} exceeds the supported bound {max_d}")
+def _check_d(d: int | QuadField, max_d: int) -> QuadField:
+    # a QuadField was checked when it was built; QuadField(d) refuses d that
+    # is not a squarefree integer > 1
+    field = d if isinstance(d, QuadField) else QuadField(d)
+    if field.d > max_d:
+        raise ValueError(f"d = {field.d} exceeds the supported bound {max_d}")
     return field
 
 
-def fundamental_unit(d: int, max_d: int = DEFAULT_MAX_D) -> QuadUnit:
+def fundamental_unit(d: int | QuadField, max_d: int = DEFAULT_MAX_D) -> QuadUnit:
     """The unit > 1 generating the units of Q(sqrt(d)) modulo +-1.
 
     Runs the continued-fraction recurrence on (P + sqrt(D))/Q starting from
@@ -156,8 +165,12 @@ def fundamental_unit(d: int, max_d: int = DEFAULT_MAX_D) -> QuadUnit:
     recurrence of a complete quotient closes one primitive period; the
     corresponding convergent matrix fixes that quotient and its bottom row
     yields the fundamental unit.
+
+    Here and in ``norm_one_unit``, ``class_number`` and ``eta_analytic``, d
+    may be given as a built QuadField, whose d is then not tested again.
     """
     field = _check_d(d, max_d)
+    d = field.d
     if d % 4 == 1:
         big_d, p_cur, q_cur = d, 1, 2
     else:
@@ -202,7 +215,7 @@ def _unit_from_period(field, big_d, state, m, conv_m, n, conv_n) -> QuadUnit:
     return unit
 
 
-def norm_one_unit(d: int, max_d: int = DEFAULT_MAX_D) -> QuadUnit:
+def norm_one_unit(d: int | QuadField, max_d: int = DEFAULT_MAX_D) -> QuadUnit:
     """The smallest unit > 1 of norm +1: the fundamental unit or its square."""
     eps = fundamental_unit(d, max_d)
     return eps if eps.norm == 1 else eps * eps
@@ -260,7 +273,7 @@ def _rho(form: tuple[int, int, int], disc: int) -> tuple[int, int, int]:
     return (c, r, (r * r - disc) // (4 * c))
 
 
-def class_number(d: int, max_d: int = DEFAULT_MAX_D) -> ClassData:
+def class_number(d: int | QuadField, max_d: int = DEFAULT_MAX_D) -> ClassData:
     """Narrow class number as the cycle count of reduced forms of the
     fundamental discriminant; the wide class number follows from the norm of
     the fundamental unit."""
@@ -297,7 +310,9 @@ def _class_data(eps: QuadUnit) -> ClassData:
 # The analytic unit, by the class-number formula.
 
 
-def eta_analytic(d: int, precision: int = 128, max_d: int = DEFAULT_MAX_D) -> mpmath.mpf:
+def eta_analytic(
+    d: int | QuadField, precision: int = 128, max_d: int = DEFAULT_MAX_D
+) -> mpmath.mpf:
     """The unit eta(d) = eps(d)^(2h) of the class-number formula, which
     equals prod_{r=1}^{disc-1} sin(pi*r/disc)^(-chi(r)) for the fundamental
     discriminant disc of Q(sqrt(d)) and chi(r) the Kronecker symbol (disc/r).

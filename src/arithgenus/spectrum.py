@@ -20,7 +20,9 @@ from mpmath import mp
 from .arith import is_squarefree
 from .brauer import BrauerClass, global_index
 from .genus import _embeds
-from .quadfield import _GUARD_BITS, QuadUnit, _class_data, fundamental_unit, unit_real_value
+from .quadfield import (
+    _GUARD_BITS, QuadField, QuadUnit, _class_data, fundamental_unit, unit_real_value,
+)
 
 
 @dataclass(frozen=True)
@@ -93,7 +95,7 @@ def spectrum_generators(
     log eta(d) = h(d) * length(eps(d)), rounded once from guard bits."""
     generators = []
     for d in admissible_set(algebra, bound):
-        eps = fundamental_unit(d)
+        eps = fundamental_unit(QuadField._known_squarefree(d))  # admissible_set tested d
         h = _class_data(eps).class_number
         geodesic = HyperbolicGeodesic(eps)
         with mp.workprec(precision + _GUARD_BITS):

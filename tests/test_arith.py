@@ -76,6 +76,40 @@ class TestFactor:
         with pytest.raises(ValueError):
             Factorization(1, ((2, 0),))
 
+    def test_matches_sympy_factorint(self):
+        # the inputs that trial division to 10**6 used to finish and Brent
+        # rho now splits: prime factors in (2**12, 10**6), prime powers just
+        # above 2**12 and near 10**6, alone and times small cofactors
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(RNG_SEED)
+        cases = []
+        for count in range(1, 5):
+            for _ in range(30):
+                n = 1
+                for _ in range(count):
+                    n *= sympy.nextprime(rng.randrange(2**12, 10**6 - 100))
+                cases.append(n)
+        for p in (4099, 4111, 4127, 999953, 999961, 999979, 999983, 1000003):
+            cases.extend(p**e for e in range(2, 6))
+        cases += [n * rng.randrange(2, 2**12) for n in list(cases)]
+        assert len(cases) == 304
+        for n in cases:
+            assert dict(factor(n).factors) == sympy.factorint(n), n
+
+    def test_rho_budget_raises_value_error(self, monkeypatch):
+        # two 30-bit primes need far more than 2**12 rho iterations
+        p, q = 1073741789, 1073741783
+        monkeypatch.setattr(arith, "_RHO_BUDGET", 2**12)
+        with pytest.raises(ValueError, match="no factor of 1152921423002469787 within 4096 rho"):
+            factor(p * q)
+        monkeypatch.undo()
+        assert factor(p * q).factors == ((q, 1), (p, 1))
+
+    def test_rho_failure_raises_value_error(self, monkeypatch):
+        monkeypatch.setattr(arith, "_RHO_TRIES", 0)
+        with pytest.raises(ValueError, match="composite leftover 1000036000099"):
+            factor(1_000_003 * 1_000_033)
+
 
 class TestSquarefree:
     @pytest.mark.parametrize("n,expected", [(12, 3), (-50, -2), (7, 7), (1, 1), (-1, -1)])

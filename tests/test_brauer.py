@@ -66,6 +66,19 @@ class TestConstruction:
         with pytest.raises(ValueError):
             BrauerClass(((Place(3), Fraction(1, 2)), (Place(2), Fraction(1, 2))))
 
+    def test_zero_sum_over_mixed_denominators(self):
+        # the sum is taken over the lcm of the denominators, here 6 and 12
+        places = (Place(2), Place(3), Place(5))
+        cls = BrauerClass(tuple(zip(places, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))))
+        assert global_index(cls) == 6
+        with pytest.raises(ValueError, match="sum to 0"):
+            BrauerClass(tuple(zip(places, (Fraction(1, 4), Fraction(1, 4), Fraction(1, 3)))))
+
+    def test_numerator_below_denominator(self):
+        for value in (Fraction(3, 2), Fraction(1), Fraction(0), Fraction(-1, 2)):
+            with pytest.raises(ValueError, match=r"strictly in \(0,1\)"):
+                BrauerClass(((Place(2), value), (Place(3), Fraction(1, 2))))
+
 
 class TestQuaternion:
     def test_minus_one_three(self):

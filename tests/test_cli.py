@@ -2,12 +2,14 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 from arithgenus import cli
 from arithgenus.arith import Place
 from arithgenus.brauer import parse_class
+from test_quadfield import count_squarefree_everywhere
 
 
 def run_main(argv, capsys):
@@ -43,6 +45,16 @@ class TestParse:
     def test_abhn_violation_is_usage_error(self):
         with pytest.raises(cli.UsageError):
             cli.parse(["genus", "--algebra", "2:1/3"])
+
+    @pytest.mark.parametrize("verb", ["unit", "eta", "classnum"])
+    def test_d_checked_once(self, verb, monkeypatch):
+        calls = count_squarefree_everywhere(monkeypatch)
+        assert cli.execute(cli.parse([verb, "--d=79"])).ok
+        assert calls == [79]
+        calls.clear()
+        with pytest.raises(cli.UsageError, match="d must be a squarefree integer > 1, got 12"):
+            cli.parse([verb, "--d=12"])
+        assert calls == [12]
 
     def test_low_precision_rejected(self):
         with pytest.raises(cli.UsageError):
@@ -231,6 +243,33 @@ class TestBatch:
             '{"ok":true,"result":-1}\n',
             "",
         )
+
+    def test_over_limit_lines_fail_cleanly(self):
+        # 2**29 sign choices, and a 126-bit semiprime of two 63-bit primes
+        # that Brent rho cannot split within its budget
+        first_30_primes = [p for p in range(2, 114) if all(p % q for q in range(2, p))]
+        semiprime = (2**63 - 25) * (2**63 - 165)
+        hilbert = json.dumps({"argv": ["hilbert", "-1", "3", "3"]})
+        lines = [json.dumps({"argv": ["family", "--primes=" + ",".join(map(str, first_30_primes))]}),
+                 hilbert,
+                 json.dumps({"argv": ["brauer", f"--quaternion=-1,{semiprime}"]}),
+                 hilbert]
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "arithgenus.cli", "--batch"],
+                              input="\n".join(lines) + "\n", capture_output=True, text=True,
+                              timeout=60)
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 0, proc.stderr
+        replies = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert replies == [
+            {"ok": False, "error": "genus enumeration needs 536870912 combinations, "
+                                   "above the limit 65536"},
+            {"ok": True, "result": -1},
+            {"ok": False, "error": f"usage: factorization gave up: no factor of {semiprime} "
+                                   "within 1048576 rho iterations"},
+            {"ok": True, "result": -1},
+        ]
+        assert elapsed < 20
 
     def test_help_outside_batch_prints_and_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

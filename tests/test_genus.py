@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from arithgenus import genus
 from arithgenus.arith import Place, REAL_PLACE
 from arithgenus.brauer import (
     class_from_invariants,
@@ -201,6 +202,19 @@ class TestGenusEnumerate:
             GenusSet(cls, (cls, other))
         assert GenusSet(cls, (cls, class_neg(cls))).size == 2
 
+    def test_combination_cap(self, monkeypatch):
+        # phi(257)**3 = 2**24 choices over the first three places
+        with pytest.raises(ValueError, match="needs 16777216 combinations, above the limit 65536"):
+            genus_enumerate(parse_class("2:1/257,3:1/257,5:1/257,7:254/257"))
+        # a prime order far beyond any enumeration is refused from phi alone
+        with pytest.raises(ValueError, match="needs 1000000006 combinations"):
+            genus_enumerate(parse_class("2:1/1000000007,3:1000000006/1000000007"))
+        # phi(r) choices over every place but the last; the limit itself is allowed
+        monkeypatch.setattr(genus, "MAX_GENUS_COMBINATIONS", 2)
+        assert genus_enumerate(parse_class("2:1/3,3:2/3")).size == 2
+        with pytest.raises(ValueError, match="needs 4 combinations, above the limit 2"):
+            genus_enumerate(parse_class("2:1/5,3:4/5"))
+
     def test_report_shape(self):
         report = genus_report(genus_enumerate(parse_class("2:1/3,3:2/3")))
         assert report["base"] == "2:1/3,3:2/3"
@@ -252,6 +266,17 @@ class TestEpsilonFamily:
             primes = rng.sample((2, 3, 5, 7, 11, 13, 17), rng.randrange(2, 7))
             members = epsilon_family(primes)
             assert set(members) == set(genus_enumerate(members[0]).members), primes
+
+    def test_combination_cap(self, monkeypatch):
+        first_30_primes = [p for p in range(2, 114) if all(p % q for q in range(2, p))]
+        assert len(first_30_primes) == 30
+        with pytest.raises(ValueError, match="needs 536870912 combinations, above the limit 65536"):
+            epsilon_family(first_30_primes)
+        # 2**(n-1) sign choices for n primes; the limit itself is allowed
+        monkeypatch.setattr(genus, "MAX_GENUS_COMBINATIONS", 8)
+        assert len(epsilon_family(first_30_primes[:4])) == 6
+        with pytest.raises(ValueError, match="needs 16 combinations, above the limit 8"):
+            epsilon_family(first_30_primes[:5])
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,12 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from mpmath import mp
 
 import oracles
-from arithgenus import quadfield
+from arithgenus import arith, quadfield
 from arithgenus.arith import is_squarefree, kronecker_symbol
 from arithgenus.cli import _decimal
 from arithgenus.quadfield import (
@@ -85,6 +86,21 @@ def count_squarefree(monkeypatch):
     return calls
 
 
+def count_squarefree_everywhere(monkeypatch):
+    """Count is_squarefree calls through every binding of it in the package."""
+    calls = []
+    original = arith.is_squarefree
+
+    def counting(n):
+        calls.append(n)
+        return original(n)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "arithgenus" and vars(module).get("is_squarefree") is original:
+            monkeypatch.setattr(module, "is_squarefree", counting)
+    return calls
+
+
 class TestFundamentalUnit:
     def test_frozen_small_cases(self):
         assert fundamental_unit(2) == QuadUnit(QuadField(2), Fraction(1), Fraction(1), -1)
@@ -140,6 +156,16 @@ class TestFundamentalUnit:
         calls = count_squarefree(monkeypatch)
         fundamental_unit(79)
         assert calls == [79]
+
+    def test_built_field_is_not_checked_again(self, monkeypatch):
+        field = QuadField(79)
+        calls = count_squarefree_everywhere(monkeypatch)
+        assert fundamental_unit(field) == fundamental_unit(79)
+        assert class_number(field) == class_number(79)
+        assert calls == [79, 79]
+        # the bound on d still applies to a built field
+        with pytest.raises(ValueError, match="exceeds the supported bound 100"):
+            fundamental_unit(QuadField(9973 * 2), max_d=100)
 
 
 class TestNormOneUnit:

@@ -7,6 +7,7 @@ import pytest
 from mpmath import mp
 
 import oracles
+from test_quadfield import count_squarefree_everywhere
 from arithgenus import brauer, cli, genus, quadfield, spectrum
 from arithgenus.arith import Place, is_squarefree, squarefree_part
 from arithgenus.brauer import (
@@ -178,6 +179,13 @@ class TestSpectrumGenerators:
         monkeypatch.setattr(spectrum, "fundamental_unit", counting)
         gens = spectrum_generators(parse_class("2:1/2,3:1/2"), 300)
         assert len(gens) == len(calls) == 95
+
+    def test_each_d_checked_once(self, monkeypatch):
+        calls = count_squarefree_everywhere(monkeypatch)
+        gens = spectrum_generators(parse_class("2:1/2,3:1/2"), 300)
+        assert sorted(calls) == list(range(2, 301))
+        monkeypatch.undo()
+        assert [g.d for g in gens] == admissible_set(parse_class("2:1/2,3:1/2"), 300)
 
     def test_bound_validation(self):
         cls = class_from_quaternion(-1, 3)
