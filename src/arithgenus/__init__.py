@@ -31,7 +31,6 @@ from .genus import (
     embeds_quadratic,
     epsilon_family,
     genus_enumerate,
-    same_maximal_subfields,
 )
 from .quadfield import (
     ClassData,

@@ -222,14 +222,17 @@ def _hilbert(a, b, v):
 def _brauer_args(ns) -> dict[str, Any]:
     if (ns.algebra is None) == (ns.quaternion is None):
         raise UsageError("give exactly one of --algebra or --quaternion")
+    quaternion = None
     if ns.quaternion is not None:
         a_text, sep, b_text = ns.quaternion.partition(",")
         if not sep:
             raise UsageError("--quaternion expects 'a,b'")
-        base = brauer.class_from_quaternion(_rational(a_text), _rational(b_text))
-    else:
-        base = _class(ns.algebra)
-    return {"base": base, "add": _class(ns.add) if ns.add is not None else None, "neg": ns.neg}
+        quaternion = (_rational(a_text), _rational(b_text))
+        if 0 in quaternion:
+            raise UsageError("cannot factor 0")
+    return {"algebra": _class(ns.algebra) if quaternion is None else None,
+            "quaternion": quaternion, "add": _class(ns.add) if ns.add is not None else None,
+            "neg": ns.neg}
 
 
 @_verb("brauer", "inspect or combine Brauer classes",
@@ -237,7 +240,9 @@ def _brauer_args(ns) -> dict[str, Any]:
        _opt("--quaternion", help="a,b for the quaternion class (a,b)"),
        _opt("--add", help="class string to add"),
        _opt("--neg", action="store_true", help="negate (opposite algebra)"), build=_brauer_args)
-def _brauer(base, add, neg):
+def _brauer(algebra, quaternion, add, neg):
+    # the quaternion class is built here, so a factoring limit is a domain error
+    base = algebra if quaternion is None else brauer.class_from_quaternion(*quaternion)
     if add is not None:
         base = brauer.class_add(base, add)
     if neg:

@@ -38,9 +38,9 @@ class GenusSet:
     def __post_init__(self):
         if self.base not in self.members:
             raise ValueError("the base class must be among the members")
-        for member in self.members:
-            if not same_maximal_subfields(member, self.base):
-                raise ValueError("members must share the base's local indices")
+        profile = index_profile(self.base)
+        if any(index_profile(member) != profile for member in self.members):
+            raise ValueError("members must share the base's local indices")
 
     @property
     def size(self) -> int:
@@ -61,12 +61,6 @@ def embeds_quadratic(d: int, algebra: BrauerClass) -> bool:
 def _embeds(d: int, algebra: BrauerClass) -> bool:
     # embeds_quadratic for a d and a quaternion class already checked
     return all(not is_local_square(d, v) for v in algebra.support)
-
-
-def same_maximal_subfields(c1: BrauerClass, c2: BrauerClass) -> bool:
-    """Equal global index and equal local index at every place; over Q this
-    is equivalent to having identical degree-n splitting fields."""
-    return index_profile(c1) == index_profile(c2)
 
 
 def _totient(r: int) -> int:

@@ -135,7 +135,7 @@ def _witt_index(inv: LocalInvariants, v: Place) -> int:
     index = 0
     while n > 0 and _tuple_isotropic_local(n, disc, hasse, v):
         hasse *= hilbert_symbol(-1, -disc, v)
-        disc = squarefree_part(-disc)
+        disc = -disc  # LocalInvariants keeps disc squarefree
         n -= 2
         index += 1
     return index

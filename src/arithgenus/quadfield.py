@@ -1,6 +1,9 @@
-"""Real quadratic fields Q(sqrt(d)): fundamental units by continued
-fractions, narrow class numbers by cycles of reduced indefinite forms, and
-the analytic unit eta(d) = eps(d)^(2h) of the class-number formula.
+"""Real quadratic fields Q(sqrt(d)), 1 < d <= MAX_D, from the reduced
+quadratic irrationals of the fundamental discriminant D: one continued
+fraction period of omega = (b + sqrt(D))/2 gives the fundamental unit, and
+the narrow class number counts the cycles of the reduced forms (a, b, c),
+whose |a| lies in one interval for each 0 < b < sqrt(D).  The analytic unit
+eta(d) = eps(d)^(2h) of the class-number formula follows from both.
 
 The unit and class-number computations are exact; only real embeddings use
 (high-precision) floating point via mpmath.
@@ -17,7 +20,7 @@ from mpmath import mp
 
 from .arith import is_squarefree
 
-DEFAULT_MAX_D = 10**6
+MAX_D = 10**6
 _GUARD_BITS = 64
 _CF_ITERATION_CAP = 10**7
 
@@ -145,79 +148,53 @@ def unit_real_value(u: QuadUnit, precision: int = 128) -> mpmath.mpf:
 
 
 # ---------------------------------------------------------------------------
-# Fundamental unit by the continued fraction of sqrt(d) or (1+sqrt(d))/2.
+# Fundamental unit by one period of a reduced quadratic irrational.
 
 
-def _check_d(d: int | QuadField, max_d: int) -> QuadField:
+def _check_d(d: int | QuadField) -> QuadField:
     # a QuadField was checked when it was built; QuadField(d) refuses d that
     # is not a squarefree integer > 1
     field = d if isinstance(d, QuadField) else QuadField(d)
-    if field.d > max_d:
-        raise ValueError(f"d = {field.d} exceeds the supported bound {max_d}")
+    if field.d > MAX_D:
+        raise ValueError(f"d = {field.d} exceeds the supported bound {MAX_D}")
     return field
 
 
-def fundamental_unit(d: int | QuadField, max_d: int = DEFAULT_MAX_D) -> QuadUnit:
+def fundamental_unit(d: int | QuadField) -> QuadUnit:
     """The unit > 1 generating the units of Q(sqrt(d)) modulo +-1.
 
-    Runs the continued-fraction recurrence on (P + sqrt(D))/Q starting from
-    sqrt(d) (D = 4d) or (1 + sqrt(d))/2 (D = d, for d = 1 mod 4).  The first
-    recurrence of a complete quotient closes one primitive period; the
-    corresponding convergent matrix fixes that quotient and its bottom row
-    yields the fundamental unit.
+    omega = (b + sqrt(D))/2, with b the largest integer below sqrt(D) and
+    b = D mod 2, is reduced, so its continued fraction is purely periodic
+    (Buchmann-Vollmer, Binary Quadratic Forms, ch. 6).  Over one period the
+    quotient (P + sqrt(D))/Q runs from (b, 2) back to (b, 2); with q1, q2 the
+    last two convergent denominators, eps = q1*omega + q2.
 
     Here and in ``norm_one_unit``, ``class_number`` and ``eta_analytic``, d
     may be given as a built QuadField, whose d is then not tested again.
     """
-    field = _check_d(d, max_d)
-    d = field.d
-    if d % 4 == 1:
-        big_d, p_cur, q_cur = d, 1, 2
-    else:
-        big_d, p_cur, q_cur = 4 * d, 0, 2
-    sqrt_big_d = isqrt(big_d)
-
-    # convergent state: (p_{i-1}, p_{i-2}, q_{i-1}, q_{i-2}) entering step i
-    conv = (1, 0, 0, 1)
-    seen: dict[tuple[int, int], tuple[int, tuple[int, int, int, int]]] = {}
-    for step in range(_CF_ITERATION_CAP):
-        state = (p_cur, q_cur)
-        if state in seen:
-            first_step, first_conv = seen[state]
-            return _unit_from_period(field, big_d, state, first_step, first_conv, step, conv)
-        seen[state] = (step, conv)
-        a = (p_cur + sqrt_big_d) // q_cur
-        p_next = a * q_cur - p_cur
-        q_next = (big_d - p_next * p_next) // q_cur
-        p1, p2, q1, q2 = conv
-        conv = (a * p1 + p2, p1, a * q1 + q2, q1)
-        p_cur, q_cur = p_next, q_next
-    raise RuntimeError(f"continued fraction of sqrt({d}) did not cycle within the cap")
+    field = _check_d(d)
+    big_d = field.fundamental_discriminant
+    root = isqrt(big_d)
+    b = root - (root - big_d) % 2
+    p, q = b, 2
+    q1, q2 = 0, 1
+    for _ in range(_CF_ITERATION_CAP):
+        a = (p + root) // q
+        p = a * q - p
+        q = (big_d - p * p) // q
+        q1, q2 = a * q1 + q2, q1
+        if p == b and q == 2:
+            # sqrt(D) = s*sqrt(d) with s = 2 for D = 4d and s = 1 for D = d
+            s = 2 if big_d != field.d else 1
+            unit = QuadUnit.make(field, Fraction(q1 * b + 2 * q2, 2), Fraction(q1 * s, 2))
+            assert unit.compare_real(1) > 0
+            return unit
+    raise RuntimeError(f"continued fraction of sqrt({field.d}) did not cycle within the cap")
 
 
-def _unit_from_period(field, big_d, state, m, conv_m, n, conv_n) -> QuadUnit:
-    # conv_m and conv_n are the convergent matrices M_m, M_n with
-    # M_i = [[p_{i-1}, p_{i-2}], [q_{i-1}, q_{i-2}]].  The complete quotient
-    # beta at steps m and n coincides, so N = M_m^{-1} M_n fixes beta and
-    # N21*beta + N22 is a unit of the order of discriminant big_d.
-    pm1, pm2, qm1, qm2 = conv_m
-    pn1, pn2, qn1, qn2 = conv_n
-    det_m = 1 if m % 2 == 0 else -1
-    n21 = det_m * (-qm1 * pn1 + pm1 * qn1)
-    n22 = det_m * (-qm1 * pn2 + pm1 * qn2)
-    p_state, q_state = state
-    # beta = (p_state + sqrt(big_d)) / q_state, sqrt(big_d) in terms of sqrt(d)
-    sqrt_scale = 2 if big_d == 4 * field.d else 1
-    x = Fraction(n21 * p_state, q_state) + n22
-    y = Fraction(n21 * sqrt_scale, q_state)
-    unit = QuadUnit.make(field, abs(x), abs(y))
-    assert unit.compare_real(1) > 0
-    return unit
-
-
-def norm_one_unit(d: int | QuadField, max_d: int = DEFAULT_MAX_D) -> QuadUnit:
+def norm_one_unit(d: int | QuadField) -> QuadUnit:
     """The smallest unit > 1 of norm +1: the fundamental unit or its square."""
-    eps = fundamental_unit(d, max_d)
+    eps = fundamental_unit(d)
     return eps if eps.norm == 1 else eps * eps
 
 
@@ -242,24 +219,20 @@ class ClassData:
 
 
 def _reduced_forms(disc: int) -> set[tuple[int, int, int]]:
-    # (a, b, c) with b^2 - 4ac = disc, 0 < b < sqrt(disc) and
-    # sqrt(disc) - b < 2|a| < sqrt(disc) + b
+    # (a, b, c) with b^2 - 4ac = disc and 0 < b < sqrt(disc) is reduced when
+    # sqrt(disc) - b < 2|a| < sqrt(disc) + b, i.e. lo <= |a| <= hi.  |a|, |c|
+    # run over divisor pairs a <= n/a of n = (disc - b^2)/4; n/a <= hi forces
+    # a >= n/hi > (sqrt(disc) - b)/2, so only a >= lo can meet [lo, hi]
     root = isqrt(disc)
     forms = set()
-    for b in range(1, root + 1):
-        if (disc - b * b) % 4 or b * b >= disc:
-            continue
-        ac = (b * b - disc) // 4  # negative
-        for a in range(1, isqrt(-ac) + 1):
-            if ac % a:
-                continue
-            for first, second in ((a, ac // a), (ac // a, a)):
-                for sign in (1, -1):
-                    aa, cc = sign * first, sign * second
-                    lower_ok = (2 * abs(aa) + b) ** 2 > disc
-                    upper_ok = 2 * abs(aa) < b or (2 * abs(aa) - b) ** 2 < disc
-                    if lower_ok and upper_ok:
-                        forms.add((aa, b, cc))
+    for b in range(root - (root - disc) % 2, 0, -2):
+        n = (disc - b * b) // 4
+        lo, hi = (root - b) // 2 + 1, (root + b) // 2
+        for a in range(lo, isqrt(n) + 1):
+            if n % a == 0:
+                for x in (a, n // a):
+                    if lo <= x <= hi:
+                        forms.update(((x, b, -n // x), (-x, b, n // x)))
     return forms
 
 
@@ -273,11 +246,11 @@ def _rho(form: tuple[int, int, int], disc: int) -> tuple[int, int, int]:
     return (c, r, (r * r - disc) // (4 * c))
 
 
-def class_number(d: int | QuadField, max_d: int = DEFAULT_MAX_D) -> ClassData:
+def class_number(d: int | QuadField) -> ClassData:
     """Narrow class number as the cycle count of reduced forms of the
     fundamental discriminant; the wide class number follows from the norm of
     the fundamental unit."""
-    return _class_data(fundamental_unit(d, max_d))
+    return _class_data(fundamental_unit(d))
 
 
 def _class_data(eps: QuadUnit) -> ClassData:
@@ -310,9 +283,7 @@ def _class_data(eps: QuadUnit) -> ClassData:
 # The analytic unit, by the class-number formula.
 
 
-def eta_analytic(
-    d: int | QuadField, precision: int = 128, max_d: int = DEFAULT_MAX_D
-) -> mpmath.mpf:
+def eta_analytic(d: int | QuadField, precision: int = 128) -> mpmath.mpf:
     """The unit eta(d) = eps(d)^(2h) of the class-number formula, which
     equals prod_{r=1}^{disc-1} sin(pi*r/disc)^(-chi(r)) for the fundamental
     discriminant disc of Q(sqrt(d)) and chi(r) the Kronecker symbol (disc/r).
@@ -320,7 +291,7 @@ def eta_analytic(
     eta has norm +1, so eta = 2x - 1/eta with 2x its integer trace; 1/eta is
     taken at 64 guard bits and the difference is rounded once.
     """
-    eps = fundamental_unit(d, max_d)  # checks d before the precision
+    eps = fundamental_unit(d)  # checks d before the precision
     if precision < 64:
         raise ValueError("precision must be at least 64 bits")
     eta = eps ** (2 * _class_data(eps).class_number)

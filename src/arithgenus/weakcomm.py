@@ -159,17 +159,6 @@ def _exponent_rows(
     return support, rows
 
 
-def _contains_minus_one(vectors: list[list[int]], signs: list[int]) -> bool:
-    # -1 lies in the generated group iff some integer combination has zero
-    # exponent vector and odd total sign parity
-    if not vectors:
-        return False
-    for u in _left_kernel(vectors):
-        if sum(x * s for x, s in zip(u, signs)) % 2:
-            return True
-    return False
-
-
 def _power_product(values: tuple[Fraction, ...], exponents: list[int]) -> Fraction:
     out = Fraction(1)
     for v, e in zip(values, exponents):
@@ -203,13 +192,12 @@ def intersection_witness(
     Solves x*A = y*B over Z via the left kernel of the stacked matrix
     [A; -B]; a kernel element with nonzero image gives |g| realized in both
     groups, and squaring reconciles the signs when they disagree.  Each value
-    is factored once, and the support and the exponent vectors built from
-    that serve both questions.
+    is factored once, and one kernel answers both questions.
     """
     support, ((a_rows, a_signs), (b_rows, b_signs)) = _exponent_rows(s1, s2)
-    stacked = a_rows + [[-x for x in row] for row in b_rows]
+    kernel = _left_kernel(a_rows + [[-x for x in row] for row in b_rows])
     r1 = len(a_rows)
-    for u in _left_kernel(stacked):
+    for u in kernel:
         x, y = u[:r1], u[r1:]
         image = [sum(xi * row[j] for xi, row in zip(x, a_rows)) for j in range(len(support))]
         if any(image):
@@ -217,9 +205,11 @@ def intersection_witness(
             g2 = _power_product(s2.values, y)
             assert abs(g1) == abs(g2)
             return g1 if g1 == g2 else g1 * g1
-    if _contains_minus_one(a_rows, a_signs) and _contains_minus_one(b_rows, b_signs):
-        return Fraction(-1)
-    return None
+    # every kernel vector has image 0, so the kernel is ker A + ker B, and -1
+    # lies in a group iff some kernel vector has odd sign parity on its part
+    a_odd = any(sum(x * s for x, s in zip(u[:r1], a_signs)) % 2 for u in kernel)
+    b_odd = any(sum(y * s for y, s in zip(u[r1:], b_signs)) % 2 for u in kernel)
+    return Fraction(-1) if a_odd and b_odd else None
 
 
 def refuse_torsion(*sets: EigenvalueSet) -> None:

@@ -45,6 +45,89 @@ def minimal_unit_by_search(d: int, y_bound: int = 10**6):
 
 
 # ---------------------------------------------------------------------------
+# Fundamental unit by a repeated complete quotient, and reduced forms by
+# divisor pairs
+
+
+def unit_by_repeated_quotient(d: int):
+    """The fundamental unit of Q(sqrt(d)) from the continued fraction of
+    sqrt(d) or (1 + sqrt(d))/2: the first complete quotient seen twice closes
+    one primitive period, and the convergent matrix of that period fixes the
+    quotient; its bottom row gives the unit."""
+    from arithgenus.quadfield import _CF_ITERATION_CAP, QuadField
+
+    field = QuadField(d)
+    if d % 4 == 1:
+        big_d, p_cur, q_cur = d, 1, 2
+    else:
+        big_d, p_cur, q_cur = 4 * d, 0, 2
+    sqrt_big_d = isqrt(big_d)
+
+    # convergent state: (p_{i-1}, p_{i-2}, q_{i-1}, q_{i-2}) entering step i
+    conv = (1, 0, 0, 1)
+    seen: dict[tuple[int, int], tuple[int, tuple[int, int, int, int]]] = {}
+    for step in range(_CF_ITERATION_CAP):
+        state = (p_cur, q_cur)
+        if state in seen:
+            first_step, first_conv = seen[state]
+            return _unit_from_period(field, big_d, state, first_step, first_conv, step, conv)
+        seen[state] = (step, conv)
+        a = (p_cur + sqrt_big_d) // q_cur
+        p_next = a * q_cur - p_cur
+        q_next = (big_d - p_next * p_next) // q_cur
+        p1, p2, q1, q2 = conv
+        conv = (a * p1 + p2, p1, a * q1 + q2, q1)
+        p_cur, q_cur = p_next, q_next
+    raise RuntimeError(f"continued fraction of sqrt({d}) did not cycle within the cap")
+
+
+def _unit_from_period(field, big_d, state, m, conv_m, n, conv_n):
+    # conv_m and conv_n are the convergent matrices M_m, M_n with
+    # M_i = [[p_{i-1}, p_{i-2}], [q_{i-1}, q_{i-2}]].  The complete quotient
+    # beta at steps m and n coincides, so N = M_m^{-1} M_n fixes beta and
+    # N21*beta + N22 is a unit of the order of discriminant big_d.
+    from arithgenus.quadfield import QuadUnit
+
+    pm1, pm2, qm1, qm2 = conv_m
+    pn1, pn2, qn1, qn2 = conv_n
+    det_m = 1 if m % 2 == 0 else -1
+    n21 = det_m * (-qm1 * pn1 + pm1 * qn1)
+    n22 = det_m * (-qm1 * pn2 + pm1 * qn2)
+    p_state, q_state = state
+    # beta = (p_state + sqrt(big_d)) / q_state, sqrt(big_d) in terms of sqrt(d)
+    sqrt_scale = 2 if big_d == 4 * field.d else 1
+    x = Fraction(n21 * p_state, q_state) + n22
+    y = Fraction(n21 * sqrt_scale, q_state)
+    unit = QuadUnit.make(field, abs(x), abs(y))
+    assert unit.compare_real(1) > 0
+    return unit
+
+
+def reduced_forms_by_divisor_pairs(disc: int) -> set[tuple[int, int, int]]:
+    """Reduced indefinite forms of discriminant disc, testing each divisor
+    pair of (b^2 - disc)/4 in both orders and both signs."""
+    # (a, b, c) with b^2 - 4ac = disc, 0 < b < sqrt(disc) and
+    # sqrt(disc) - b < 2|a| < sqrt(disc) + b
+    root = isqrt(disc)
+    forms = set()
+    for b in range(1, root + 1):
+        if (disc - b * b) % 4 or b * b >= disc:
+            continue
+        ac = (b * b - disc) // 4  # negative
+        for a in range(1, isqrt(-ac) + 1):
+            if ac % a:
+                continue
+            for first, second in ((a, ac // a), (ac // a, a)):
+                for sign in (1, -1):
+                    aa, cc = sign * first, sign * second
+                    lower_ok = (2 * abs(aa) + b) ** 2 > disc
+                    upper_ok = 2 * abs(aa) < b or (2 * abs(aa) - b) ** 2 < disc
+                    if lower_ok and upper_ok:
+                        forms.add((aa, b, cc))
+    return forms
+
+
+# ---------------------------------------------------------------------------
 # Rational isotropic vectors in a box
 
 
@@ -306,12 +389,43 @@ def power_products(values, bound: int):
 
 
 def groups_intersect_by_search(values1, values2, bound: int = 8) -> bool:
-    """Common element != 1 of the generated groups, by exhaustive exponents."""
-    g1 = power_products(values1, bound)
-    g2 = power_products(values2, bound)
-    common = g1 & g2
-    common.discard(Fraction(1))
+    """Common element != 1 of the generated groups, by exhaustive exponents
+    |e_i| <= bound.  An element is its exponent vector: a sign bit and the
+    exponent e_p of each prime p met in the values, the latter packed into
+    one integer sum e_p * 2**(32*i) (i the index of p), which adds like the
+    vector and is exact while every |e_p| < 2**31."""
+    facts1 = [_sign_and_exponents(v) for v in values1]
+    facts2 = [_sign_and_exponents(v) for v in values2]
+    primes = sorted({p for _, exps in facts1 + facts2 for p in exps})
+
+    def box(facts):
+        out = {(0, 0)}
+        for sign, exps in facts:
+            packed = sum(exps.get(p, 0) << (32 * i) for i, p in enumerate(primes))
+            steps = [(e % 2 * sign, e * packed) for e in range(-bound, bound + 1)]
+            out = {(g_sign ^ s_sign, g + s) for g_sign, g in out for s_sign, s in steps}
+        return out
+
+    common = box(facts1) & box(facts2)
+    common.discard((0, 0))
     return bool(common)
+
+
+def _sign_and_exponents(q) -> tuple[int, dict[int, int]]:
+    """(1 if q < 0 else 0, {p: v_p(q)}) by trial division of the numerator
+    and the denominator down to 1."""
+    q = Fraction(q)
+    exponents: dict[int, int] = {}
+    for n, step in ((abs(q.numerator), 1), (q.denominator, -1)):
+        p = 2
+        while n > 1:
+            if p * p > n:
+                p = n  # what is left is prime
+            while n % p == 0:
+                n //= p
+                exponents[p] = exponents.get(p, 0) + step
+            p += 1
+    return int(q < 0), exponents
 
 
 def dependence_by_search(q1, q2, bound: int = 20):
@@ -321,6 +435,18 @@ def dependence_by_search(q1, q2, bound: int = 20):
             if q1**m == q2**n:
                 return (m, n)
     return None
+
+
+# ---------------------------------------------------------------------------
+# Same maximal subfields by comparing index profiles
+
+
+def same_maximal_subfields(c1, c2) -> bool:
+    """Equal global index and equal local index at every place; over Q this
+    is equivalent to having identical degree-n splitting fields."""
+    from arithgenus.brauer import index_profile
+
+    return index_profile(c1) == index_profile(c2)
 
 
 # ---------------------------------------------------------------------------
@@ -467,9 +593,9 @@ def eta_by_sine_product(d: int, precision: int = 128):
     from mpmath import mp
 
     from arithgenus.arith import kronecker_symbol
-    from arithgenus.quadfield import _GUARD_BITS, DEFAULT_MAX_D, QuadField, _check_d
+    from arithgenus.quadfield import _GUARD_BITS, QuadField, _check_d
 
-    _check_d(d, DEFAULT_MAX_D)
+    _check_d(d)
     if precision < 64:
         raise ValueError("precision must be at least 64 bits")
     disc = QuadField(d).fundamental_discriminant

@@ -20,7 +20,7 @@ from arithgenus.arith import (
     support_places,
 )
 from arithgenus.brauer import BrauerClass, class_from_invariants
-from arithgenus.genus import epsilon_family, genus_enumerate, same_maximal_subfields
+from arithgenus.genus import epsilon_family, genus_enumerate
 from arithgenus.qforms import (
     ArithmeticTriple,
     GroupB,
@@ -116,7 +116,7 @@ def test_criterion_4_epsilon_families():
         crit.check(len(set(family)) == len(family), f"family {primes} has duplicates")
         for m1, m2 in itertools.combinations(family, 2):
             crit.check(
-                same_maximal_subfields(m1, m2),
+                oracles.same_maximal_subfields(m1, m2),
                 f"members of family {primes} must share maximal subfields",
             )
         for member in family:

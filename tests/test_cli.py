@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from arithgenus import cli
+from arithgenus import arith, cli
 from arithgenus.arith import Place
 from arithgenus.brauer import parse_class
 from test_quadfield import count_squarefree_everywhere
@@ -154,6 +154,19 @@ class TestMainAndExitCodes:
         assert code == 1
         assert json.loads(out)["ok"] is False
 
+    def test_quaternion_factoring_limit_is_domain_error(self, capsys, monkeypatch):
+        # the class is built when the command runs, not while it is parsed
+        monkeypatch.setattr(arith, "_RHO_BUDGET", 2**12)
+        semiprime = 1073741789 * 1073741783
+        assert run_main(["brauer", f"--quaternion=-1,{semiprime}"], capsys) == (
+            1, '{"ok":false,"error":"factorization gave up: no factor of '
+               f'{semiprime} within 4096 rho iterations"}}\n', "")
+
+    def test_quaternion_zero_entry_is_usage_error(self, capsys):
+        for argv in (["brauer", "--quaternion=0,1"], ["brauer", "--quaternion=3,0", "--add=x"]):
+            assert run_main(argv, capsys) == (
+                2, "", '{"ok":false,"error":"usage: cannot factor 0"}\n')
+
     def test_determinism(self, capsys):
         argv = ["spectrum", "--algebra", "2:1/2,3:1/2", "--bound", "30"]
         _, first, _ = run_main(argv, capsys)
@@ -265,7 +278,7 @@ class TestBatch:
             {"ok": False, "error": "genus enumeration needs 536870912 combinations, "
                                    "above the limit 65536"},
             {"ok": True, "result": -1},
-            {"ok": False, "error": f"usage: factorization gave up: no factor of {semiprime} "
+            {"ok": False, "error": f"factorization gave up: no factor of {semiprime} "
                                    "within 1048576 rho iterations"},
             {"ok": True, "result": -1},
         ]

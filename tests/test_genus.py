@@ -19,8 +19,8 @@ from arithgenus.genus import (
     epsilon_family,
     genus_enumerate,
     genus_report,
-    same_maximal_subfields,
 )
+from oracles import same_maximal_subfields
 
 RNG_SEED = 77003
 
@@ -201,6 +201,14 @@ class TestGenusEnumerate:
         with pytest.raises(ValueError, match="members must share the base's local indices"):
             GenusSet(cls, (cls, other))
         assert GenusSet(cls, (cls, class_neg(cls))).size == 2
+
+    def test_base_profile_computed_once(self, monkeypatch):
+        calls = []
+        index_profile = genus.index_profile
+        monkeypatch.setattr(genus, "index_profile", lambda c: calls.append(c) or index_profile(c))
+        members = genus_enumerate(parse_class("2:1/7,3:2/7,5:3/7,7:4/7,11:4/7"))
+        assert members.size == 1110
+        assert len(calls) == 1111
 
     def test_combination_cap(self, monkeypatch):
         # phi(257)**3 = 2**24 choices over the first three places

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from arithgenus import qforms
+from arithgenus import arith, qforms
 from arithgenus.arith import Place, REAL_PLACE, hilbert_symbol
 from arithgenus.brauer import BrauerClass, class_from_quaternion, parse_class
 from arithgenus.qforms import (
@@ -129,6 +129,17 @@ class TestLocalWitt:
     def test_real_place_is_min_signature(self):
         assert witt_index_local(QF(1, 1, 1, -1), REAL_PLACE) == 1
         assert witt_index_local(QF(1, -1, 1, -1, 1), REAL_PLACE) == 2
+
+    def test_split_planes_factor_nothing(self, monkeypatch):
+        # the residual discriminant -disc of a squarefree disc is squarefree
+        # again; four planes split off at 3 with no factorization
+        inv = form_invariants(QF(1, -1, 1, -1, 1, -1, 1, -1, 3))
+        calls = []
+        factor_positive = arith._factor_positive
+        monkeypatch.setattr(arith, "_factor_positive",
+                            lambda n: calls.append(n) or factor_positive(n))
+        assert qforms._witt_index(inv, Place(3)) == 4
+        assert calls == []
 
     def test_bounded_by_half_dimension(self):
         rng = random.Random(RNG_SEED + 3)

@@ -22,9 +22,24 @@ from arithgenus.quadfield import (
 
 RNG_SEED = 31337
 
+# the least prime above quadfield.MAX_D
+BEYOND_MAX_D = 1_000_003
+
 SQUAREFREE_SMALL = [
     d for d in range(2, 80) if all(d % (k * k) for k in range(2, 10))
 ]
+SQUAREFREE_BELOW_3000 = [d for d in range(2, 3000) if is_squarefree(d)]
+
+
+def squarefree_sample(seed: int, count: int) -> list[int]:
+    """count distinct squarefree d in [5*10^5, 10^6), drawn with the seed."""
+    rng = random.Random(seed)
+    sample = set()
+    while len(sample) < count:
+        d = rng.randrange(5 * 10**5, 10**6)
+        if is_squarefree(d):
+            sample.add(d)
+    return sorted(sample)
 
 
 class TestQuadField:
@@ -115,6 +130,25 @@ class TestFundamentalUnit:
             eps = fundamental_unit(d)
             assert (eps.x, eps.y, eps.norm) == (x, y, norm), d
 
+    def test_matches_sympy_diop_dn(self):
+        # eps = (X + Y*sqrt(d))/2 for the least positive solution of
+        # X^2 - d*Y^2 = +-4 when d = 1 mod 4, and X + Y*sqrt(d) for the least
+        # of X^2 - d*Y^2 = +-1 otherwise
+        diophantine = pytest.importorskip("sympy.solvers.diophantine.diophantine")
+        below_2000 = [d for d in SQUAREFREE_BELOW_3000 if d < 2000]
+        for d in below_2000 + squarefree_sample(RNG_SEED, 50):
+            k = 4 if d % 4 == 1 else 1
+            x, y = min(((x, y) for n in (k, -k) for x, y in diophantine.diop_DN(d, n)
+                        if x > 0 and y > 0), key=lambda s: (s[1], s[0]))
+            half = 2 if k == 4 else 1
+            eps = fundamental_unit(d)
+            assert (eps.x, eps.y) == (Fraction(x, half), Fraction(y, half)), d
+            assert eps.norm * k == x * x - d * y * y, d
+
+    def test_matches_repeated_quotient_oracle(self):
+        for d in SQUAREFREE_BELOW_3000 + squarefree_sample(RNG_SEED + 1, 20):
+            assert fundamental_unit(d) == oracles.unit_by_repeated_quotient(d), d
+
     def test_classical_large_period(self):
         eps = fundamental_unit(94)
         assert (eps.x, eps.y) == (2143295, 221064)
@@ -149,8 +183,12 @@ class TestFundamentalUnit:
                 fundamental_unit(bad)
 
     def test_cap_configurable(self):
-        with pytest.raises(ValueError):
-            fundamental_unit(9973 * 2, max_d=100)
+        # 1000003 is prime, so only the bound MAX_D refuses it
+        with pytest.raises(ValueError, match="exceeds the supported bound 1000000"):
+            fundamental_unit(BEYOND_MAX_D)
+        largest = max(d for d in range(quadfield.MAX_D - 50, quadfield.MAX_D + 1)
+                      if is_squarefree(d))
+        assert fundamental_unit(largest).compare_real(1) > 0
 
     def test_d_checked_once(self, monkeypatch):
         calls = count_squarefree(monkeypatch)
@@ -164,8 +202,8 @@ class TestFundamentalUnit:
         assert class_number(field) == class_number(79)
         assert calls == [79, 79]
         # the bound on d still applies to a built field
-        with pytest.raises(ValueError, match="exceeds the supported bound 100"):
-            fundamental_unit(QuadField(9973 * 2), max_d=100)
+        with pytest.raises(ValueError, match="exceeds the supported bound 1000000"):
+            fundamental_unit(QuadField(BEYOND_MAX_D))
 
 
 class TestNormOneUnit:
@@ -214,6 +252,11 @@ class TestClassNumber:
                 assert data.narrow_class_number == data.class_number
             else:
                 assert data.narrow_class_number == 2 * data.class_number
+
+    def test_reduced_forms_match_divisor_pair_oracle(self):
+        for d in SQUAREFREE_BELOW_3000 + squarefree_sample(RNG_SEED + 2, 20):
+            disc = QuadField(d).fundamental_discriminant
+            assert quadfield._reduced_forms(disc) == oracles.reduced_forms_by_divisor_pairs(disc), d
 
     def test_class_data_validation(self):
         with pytest.raises(ValueError):
@@ -293,7 +336,7 @@ class TestEtaAnalytic:
 
         monkeypatch.setattr(quadfield, "fundamental_unit", counting)
         eta_analytic(79)
-        assert calls == [(79, quadfield.DEFAULT_MAX_D)]
+        assert calls == [(79,)]
 
     def test_d_checked_once(self, monkeypatch):
         calls = count_squarefree(monkeypatch)
@@ -302,8 +345,8 @@ class TestEtaAnalytic:
 
     def test_errors_in_check_order(self):
         # d before its bound before the precision
-        for args, message in (((12, 10, 100), "squarefree"), ((101, 10, 100), "exceeds"),
-                              ((79, 10, 100), "precision")):
+        for args, message in (((12, 10), "squarefree"), ((BEYOND_MAX_D, 10), "exceeds"),
+                              ((79, 10), "precision")):
             with pytest.raises(ValueError, match=message):
                 eta_analytic(*args)
 

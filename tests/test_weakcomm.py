@@ -180,6 +180,24 @@ class TestGroupsIntersect:
         assert intersection_witness(s1, s2) == -1
         assert not weakly_commensurable(s1, s2)
 
+    def test_one_kernel_per_witness(self, monkeypatch):
+        # with no common element of infinite order, the one kernel of [A; -B]
+        # is ker A + ker B and also decides whether -1 lies in both groups
+        import arithgenus.weakcomm as weakcomm
+
+        calls = []
+        left_kernel = weakcomm._left_kernel
+        monkeypatch.setattr(weakcomm, "_left_kernel",
+                            lambda rows: calls.append(rows) or left_kernel(rows))
+        s1 = RationalEigenvalues.of(-1, 2)
+        s2 = RationalEigenvalues.of(-1, 3)
+        assert intersection_witness(s1, s2) == -1
+        assert len(calls) == 1
+        assert intersection_witness(RationalEigenvalues.of(-1, 2), RationalEigenvalues.of(3)) is None
+        assert intersection_witness(RationalEigenvalues.of(-2, 8),
+                                    RationalEigenvalues.of(-3, 27)) == -1
+        assert len(calls) == 3
+
     def test_against_exhaustive_search(self):
         rng = random.Random(RNG_SEED + 3)
         for _ in range(120):
