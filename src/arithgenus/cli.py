@@ -112,7 +112,9 @@ def _rational_set(text: str) -> weakcomm.RationalEigenvalues:
         tuple(_rational(chunk) for chunk in text.split(",") if chunk.strip()))
 
 
-def _parse_triple(text: str) -> qforms.ArithmeticTriple:
+def _parse_triple(text: str) -> Callable[[], qforms.ArithmeticTriple]:
+    # returns a function making the triple, so that a quat= class is built when the
+    # command runs and a factoring limit there is a domain error
     fields: dict[str, str] = {}
     for chunk in text.split(";"):
         if not chunk.strip():
@@ -136,16 +138,25 @@ def _parse_triple(text: str) -> qforms.ArithmeticTriple:
         group = _class(fields["algebra"])
     elif "quat" in fields:
         a, _, b = fields["quat"].partition(",")
-        group = brauer.class_from_quaternion(_rational(a), _rational(b))
+        quaternion = (_rational(a), _rational(b))
+        if 0 in quaternion:
+            raise UsageError("cannot factor 0")
+        # S is checked now, on the trivial class, which no place makes anisotropic
+        qforms.ArithmeticTriple(brauer.BrauerClass(), tag, places)
+        return lambda: qforms.ArithmeticTriple(
+            brauer.class_from_quaternion(*quaternion), tag, places)
     else:
         raise UsageError("triple needs form=, algebra= or quat=")
-    return qforms.ArithmeticTriple(group, tag, places)
+    triple = qforms.ArithmeticTriple(group, tag, places)
+    return lambda: triple
 
 
 def _prec_bits(flag_value: int | None) -> int:
     if flag_value is not None:
         if flag_value < 64:
             raise UsageError("precision must be at least 64 bits")
+        if flag_value > quadfield.MAX_PREC_BITS:
+            raise UsageError(f"precision must be at most {quadfield.MAX_PREC_BITS} bits")
         return flag_value
     env = os.environ.get("ARITHGENUS_PREC_BITS")
     if env is not None:
@@ -155,6 +166,8 @@ def _prec_bits(flag_value: int | None) -> int:
             raise UsageError(f"ARITHGENUS_PREC_BITS={env!r} is not an integer") from None
         if bits < 64:
             raise UsageError("ARITHGENUS_PREC_BITS must be at least 64")
+        if bits > quadfield.MAX_PREC_BITS:
+            raise UsageError(f"ARITHGENUS_PREC_BITS must be at most {quadfield.MAX_PREC_BITS}")
         return bits
     return DEFAULT_PREC_BITS
 
@@ -266,8 +279,8 @@ def _family_args(ns) -> dict[str, Any]:
 @_verb("family", "cubic classes ramified at given primes",
        _opt("--primes", required=True, help="comma-separated primes"), build=_family_args)
 def _family(primes):
-    members = genus.epsilon_family(primes)
-    return {"primes": list(primes), "size": len(members), "members": [str(m) for m in members]}
+    family = genus.epsilon_family(primes)
+    return {"primes": list(primes), "size": family.size, "members": family.texts()}
 
 
 @_verb("unit", "fundamental unit of Q(sqrt(d))", _D_OPT,
@@ -361,7 +374,7 @@ def _twins(b, algebra, real_definite):
        _opt("--triple1", required=True), _opt("--triple2", required=True),
        build=lambda ns: {"t1": _parse_triple(ns.triple1), "t2": _parse_triple(ns.triple2)})
 def _triple(t1, t2):
-    verdict, reason = qforms.triple_verdict(t1, t2)
+    verdict, reason = qforms.triple_verdict(t1(), t2())
     result: dict[str, Any] = {"commensurable": verdict}
     if reason is not None:
         result["reason"] = reason

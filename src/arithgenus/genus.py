@@ -6,11 +6,14 @@ class is therefore the finite set of classes matching its local index
 profile.  Invariants sum to 0, so the genus is enumerated over every place
 but the last, which the zero sum fixes.
 
-The enumeration adds integer numerators mod L, the lcm of the local orders
-r_v, and looks the last invariant up from the residue of minus the sum.  It
-visits the product of phi(r_v) over every place but the last; a genus or
-epsilon family needing more than MAX_GENUS_COMBINATIONS is refused with
-ValueError before any is visited.
+A genus is stored as its base class and one tuple of integer numerators
+k_v per member, the invariants k_v/r_v at the base's places r_v = local
+index.  The enumeration adds numerators mod L, the lcm of the r_v, and looks
+the last one up from the residue of minus the sum.  It visits the product
+of phi(r_v) over every place but the last; a genus or epsilon family needing
+more than MAX_GENUS_COMBINATIONS is refused with ValueError before any is
+visited.  Replies are formatted from per-place text tables; BrauerClass
+members are built only when asked for.
 """
 
 from __future__ import annotations
@@ -18,10 +21,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm, prod
+from operator import getitem, itemgetter, mul
 
 from .arith import Place, _factor_positive, is_local_square, is_prime, is_squarefree
-from .brauer import BrauerClass, global_index, index_profile
+from .brauer import BrauerClass, global_index
 
 # Most combinations one genus or epsilon-family enumeration may visit (a
 # 12-prime epsilon family visits 2**11)
@@ -30,21 +35,55 @@ MAX_GENUS_COMBINATIONS = 2**16
 
 @dataclass(frozen=True)
 class GenusSet:
-    """A base class together with all classes sharing its maximal subfields."""
+    """A base class together with all classes sharing its maximal subfields,
+    each member given by its numerators at the base's places in order."""
 
     base: BrauerClass
-    members: tuple[BrauerClass, ...]
+    numerators: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.base not in self.members:
+        # the places themselves were checked when the base was built
+        orders = self._orders
+        if tuple(value.numerator for _, value in self.base.invariants) not in self.numerators:
             raise ValueError("the base class must be among the members")
-        profile = index_profile(self.base)
-        if any(index_profile(member) != profile for member in self.members):
+        # each numerator k at a place of order r must have exact order r:
+        # every distinct value per place is checked once
+        if any(len(ks) != len(orders) for ks in self.numerators) or not all(
+                0 < k < r and gcd(k, r) == 1
+                for r, column in zip(orders, zip(*self.numerators)) for k in set(column)):
             raise ValueError("members must share the base's local indices")
+        # the zero sum in integers: sum of k * L/r over L = lcm of the orders
+        modulus = lcm(*orders)
+        weights = [modulus // r for r in orders]
+        if any(sum(map(mul, ks, weights)) % modulus for ks in self.numerators):
+            raise ValueError("local invariants must sum to 0 in Q/Z")
+
+    @property
+    def _orders(self) -> list[int]:
+        return [value.denominator for _, value in self.base.invariants]
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return len(self.numerators)
+
+    @cached_property
+    def members(self) -> tuple[BrauerClass, ...]:
+        """The members as BrauerClass objects, each validated on its own."""
+        places = self.base.support
+        orders = self._orders
+        return tuple(
+            BrauerClass(tuple((v, Fraction(k, r)) for v, k, r in zip(places, ks, orders)))
+            for ks in self.numerators
+        )
+
+    def texts(self) -> list[str]:
+        """The members' text encodings, in member order."""
+        # one "place:k/r" string per numerator that occurs at each place
+        tables = [
+            {k: f"{v}:{k}/{r}" for k in set(column)}
+            for v, r, column in zip(self.base.support, self._orders, zip(*self.numerators))
+        ]
+        return [",".join(map(getitem, tables, ks)) for ks in self.numerators]
 
 
 def embeds_quadratic(d: int, algebra: BrauerClass) -> bool:
@@ -70,59 +109,51 @@ def _totient(r: int) -> int:
     return result
 
 
-def _zero_sum_classes(places, orders) -> list[BrauerClass]:
-    """Classes with an invariant of exact order orders[i] at places[i] and
-    no other ramification, in product order over the places as given: each
-    invariant but the last is chosen, and the zero sum fixes the last.
+def _zero_sum_numerators(orders) -> list[tuple[int, ...]]:
+    """Numerator tuples (k_v) with k_v/orders[v] of exact order orders[v] and
+    zero sum in Q/Z, in product order over the places as given: each
+    numerator but the last is chosen, and the zero sum fixes the last.
 
-    The invariants are summed as integer numerators mod L = lcm(orders); the
-    last one is looked up from the residue of minus the sum.  Refuses, before
+    The numerators are summed mod L = lcm(orders) with weights L/r; the last
+    one is looked up from the residue of minus the sum.  Refuses, before
     enumerating, more than MAX_GENUS_COMBINATIONS choices (the product of
     phi(r) over every place but the last).
     """
-    if not places:
-        return [BrauerClass()]
+    if not orders:
+        return [()]
     combinations = prod(_totient(r) for r in orders[:-1])
     if combinations > MAX_GENUS_COMBINATIONS:
         raise ValueError(f"genus enumeration needs {combinations} combinations, "
                          f"above the limit {MAX_GENUS_COMBINATIONS}")
     modulus = lcm(*orders)
-
-    def values(v, r):
-        # (numerator mod L, stored pair) for each invariant k/r of exact order r;
-        # a real place has r = 2, so its only value is 1/2
-        return [(k * (modulus // r), (v, Fraction(k, r))) for k in range(1, r) if gcd(k, r) == 1]
-
-    chosen = [values(v, r) for v, r in zip(places[:-1], orders)]
-    closing = dict(values(places[-1], orders[-1]))
-    canonical = sorted(range(len(places)), key=lambda i: places[i].sort_key())
-    members = []
-    for combo in itertools.product(*chosen):
-        last = closing.get(-sum(num for num, _ in combo) % modulus)
+    # the numerators k of exact order r at each place (a real place has r = 2,
+    # so its only value is 1/2), and their weights k * L/r mod L
+    choices = [[k for k in range(1, r) if gcd(k, r) == 1] for r in orders]
+    weights = [[k * (modulus // r) for k in ks] for ks, r in zip(choices, orders)]
+    closing = {-w % modulus: (k,) for k, w in zip(choices[-1], weights[-1])}
+    numerators = []
+    for ks, ws in zip(itertools.product(*choices[:-1]), itertools.product(*weights[:-1])):
+        last = closing.get(sum(ws) % modulus)
         if last is not None:
-            pairs = [pair for _, pair in combo]
-            pairs.append(last)
-            members.append(BrauerClass(tuple(pairs[i] for i in canonical)))
-    return members
+            numerators.append(ks + last)
+    return numerators
 
 
 def genus_enumerate(c: BrauerClass) -> GenusSet:
-    """All classes with the same local index as c at every place."""
-    support = c.support
-    members = _zero_sum_classes(support, [c.local_index(v) for v in support])
-    # members share their places and local orders, so numerators order them
-    # as the invariants would
-    members.sort(key=lambda m: tuple(value.numerator for _, value in m.invariants))
-    return GenusSet(c, tuple(members))
+    """All classes with the same local index as c at every place, ordered
+    by their invariants: the places and local orders are shared, and the
+    product order over ascending numerators is already sorted."""
+    return GenusSet(c, tuple(_zero_sum_numerators([value.denominator for _, value in c.invariants])))
 
 
-def epsilon_family(primes: list[int] | tuple[int, ...]) -> list[BrauerClass]:
+def epsilon_family(primes: list[int] | tuple[int, ...]) -> GenusSet:
     """Cubic division classes ramified exactly at the given primes with
     invariants e_i/3, e_i = +-1, subject to sum(e_i) = 0 mod 3.
 
-    These are the genus of any one member.  Any two members have the same
-    maximal subfields while being pairwise distinct.  The list is ordered by
-    the sign tuple over the primes as given, +1 before -1.
+    These are the genus of any one member; the base is the first.  Any two
+    members have the same maximal subfields while being pairwise distinct.
+    The members are ordered by the sign tuple over the primes as given, +1
+    before -1.
     """
     primes = tuple(primes)
     if len(primes) < 2:
@@ -132,7 +163,12 @@ def epsilon_family(primes: list[int] | tuple[int, ...]) -> list[BrauerClass]:
     for p in primes:
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-    return _zero_sum_classes([Place(p) for p in primes], [3] * len(primes))
+    # numerators over the primes as given, stored in ascending place order
+    canonical = sorted(range(len(primes)), key=primes.__getitem__)
+    numerators = tuple(map(itemgetter(*canonical), _zero_sum_numerators([3] * len(primes))))
+    base = BrauerClass(tuple((Place(primes[i]), Fraction(k, 3))
+                             for i, k in zip(canonical, numerators[0])))
+    return GenusSet(base, numerators)
 
 
 def genus_report(genus: GenusSet) -> dict:
@@ -140,5 +176,5 @@ def genus_report(genus: GenusSet) -> dict:
     return {
         "base": str(genus.base),
         "size": genus.size,
-        "members": sorted(str(m) for m in genus.members),
+        "members": sorted(genus.texts()),
     }

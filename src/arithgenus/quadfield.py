@@ -21,6 +21,10 @@ from mpmath import mp
 from .arith import is_squarefree
 
 MAX_D = 10**6
+# Most working bits of eta and the spectrum generators (the CLI's --prec and
+# ARITHGENUS_PREC_BITS); a spectrum at the bound limit and 1024 bits takes
+# about 2 s
+MAX_PREC_BITS = 1024
 _GUARD_BITS = 64
 _CF_ITERATION_CAP = 10**7
 
@@ -134,6 +138,14 @@ class QuadUnit:
         return f"{self.x} + {self.y}*sqrt({self.field.d})"
 
 
+def _check_precision(precision: int) -> None:
+    # the precision asked of eta or the spectrum; guard bits may go beyond it
+    if precision < 64:
+        raise ValueError("precision must be at least 64 bits")
+    if precision > MAX_PREC_BITS:
+        raise ValueError(f"precision {precision} bits exceeds the supported bound {MAX_PREC_BITS}")
+
+
 def unit_real_value(u: QuadUnit, precision: int = 128) -> mpmath.mpf:
     """The real embedding x + y*sqrt(d) at the requested precision in bits."""
     if precision < 64:
@@ -236,13 +248,12 @@ def _reduced_forms(disc: int) -> set[tuple[int, int, int]]:
     return forms
 
 
-def _rho(form: tuple[int, int, int], disc: int) -> tuple[int, int, int]:
+def _rho(form: tuple[int, int, int], disc: int, root: int) -> tuple[int, int, int]:
     # reduction step: (a,b,c) -> (c, r, (r^2-disc)/(4c)) where r = -b mod 2|c|
-    # is the largest residue below sqrt(disc)
+    # is the largest residue below sqrt(disc), and root = isqrt(disc)
     _, b, c = form
     modulus = 2 * abs(c)
-    bound = isqrt(disc)
-    r = bound - (bound - (-b) % modulus) % modulus
+    r = root - (root - (-b) % modulus) % modulus
     return (c, r, (r * r - disc) // (4 * c))
 
 
@@ -257,6 +268,7 @@ def _class_data(eps: QuadUnit) -> ClassData:
     field = eps.field
     disc = field.fundamental_discriminant
     forms = _reduced_forms(disc)
+    root = isqrt(disc)
     remaining = set(forms)
     cycles = 0
     while remaining:
@@ -265,7 +277,7 @@ def _class_data(eps: QuadUnit) -> ClassData:
         current = start
         while True:
             remaining.discard(current)
-            current = _rho(current, disc)
+            current = _rho(current, disc, root)
             if current not in forms:
                 raise RuntimeError(f"reduction left the reduced set at {current}")
             if current == start:
@@ -292,8 +304,7 @@ def eta_analytic(d: int | QuadField, precision: int = 128) -> mpmath.mpf:
     taken at 64 guard bits and the difference is rounded once.
     """
     eps = fundamental_unit(d)  # checks d before the precision
-    if precision < 64:
-        raise ValueError("precision must be at least 64 bits")
+    _check_precision(precision)
     eta = eps ** (2 * _class_data(eps).class_number)
     with mp.workprec(precision + _GUARD_BITS):
         inverse = 1 / unit_real_value(eta, precision + _GUARD_BITS)

@@ -21,8 +21,13 @@ from .arith import is_squarefree
 from .brauer import BrauerClass, global_index
 from .genus import _embeds
 from .quadfield import (
-    _GUARD_BITS, QuadField, QuadUnit, _class_data, fundamental_unit, unit_real_value,
+    _GUARD_BITS, QuadField, QuadUnit, _check_precision, _class_data, fundamental_unit,
+    unit_real_value,
 )
+
+# Largest bound on d of the admissible set and the spectrum generators; at
+# 1024 bits (quadfield.MAX_PREC_BITS) the generators up to it take about 2 s
+MAX_SPECTRUM_BOUND = 10**4
 
 
 @dataclass(frozen=True)
@@ -85,6 +90,8 @@ def admissible_set(algebra: BrauerClass, bound: int) -> list[int]:
     _check_surface_algebra(algebra)
     if bound < 2:
         raise ValueError("bound must be at least 2")
+    if bound > MAX_SPECTRUM_BOUND:
+        raise ValueError(f"bound {bound} exceeds the supported bound {MAX_SPECTRUM_BOUND}")
     return [d for d in range(2, bound + 1) if is_squarefree(d) and _embeds(d, algebra)]
 
 
@@ -93,6 +100,7 @@ def spectrum_generators(
 ) -> list[SpectrumGenerator]:
     """One generator (d, log eta(d)) per admissible d up to the bound, where
     log eta(d) = h(d) * length(eps(d)), rounded once from guard bits."""
+    _check_precision(precision)
     generators = []
     for d in admissible_set(algebra, bound):
         eps = fundamental_unit(QuadField._known_squarefree(d))  # admissible_set tested d

@@ -507,6 +507,13 @@ def _exact_order_values(v, order: int) -> list[Fraction]:
     return [Fraction(k, order) for k in range(1, order) if gcd(k, order) == 1]
 
 
+def genus_size_by_search_cost(c) -> int:
+    """The number of invariant tuples genus_members_by_search tries for c."""
+    from math import prod
+
+    return prod(len(_exact_order_values(v, c.local_index(v))) for v in c.support)
+
+
 def genus_members_by_search(c):
     """The genus of c, sorted by invariants: every tuple of invariants of the
     exact local orders of c, kept when it sums to 0 in Q/Z."""
@@ -524,6 +531,49 @@ def genus_members_by_search(c):
             members.append(class_from_invariants(dict(zip(support, combo))))
     members.sort(key=lambda m: tuple(value for _, value in m.invariants))
     return tuple(members)
+
+
+def zero_sum_classes_by_fractions(places, orders):
+    """Classes with an invariant of exact order orders[i] at places[i] and
+    no other ramification, in product order over the places as given: each
+    invariant but the last is chosen, and the zero sum fixes the last.
+
+    The invariants are summed as integer numerators mod L = lcm(orders); the
+    last one is looked up from the residue of minus the sum.  Refuses, before
+    enumerating, more than MAX_GENUS_COMBINATIONS choices (the product of
+    phi(r) over every place but the last).  This is the former genus
+    enumeration, which built a BrauerClass per member.
+    """
+    import itertools
+    from math import gcd, lcm, prod
+
+    from arithgenus.brauer import BrauerClass
+    from arithgenus.genus import MAX_GENUS_COMBINATIONS, _totient
+
+    if not places:
+        return [BrauerClass()]
+    combinations = prod(_totient(r) for r in orders[:-1])
+    if combinations > MAX_GENUS_COMBINATIONS:
+        raise ValueError(f"genus enumeration needs {combinations} combinations, "
+                         f"above the limit {MAX_GENUS_COMBINATIONS}")
+    modulus = lcm(*orders)
+
+    def values(v, r):
+        # (numerator mod L, stored pair) for each invariant k/r of exact order r;
+        # a real place has r = 2, so its only value is 1/2
+        return [(k * (modulus // r), (v, Fraction(k, r))) for k in range(1, r) if gcd(k, r) == 1]
+
+    chosen = [values(v, r) for v, r in zip(places[:-1], orders)]
+    closing = dict(values(places[-1], orders[-1]))
+    canonical = sorted(range(len(places)), key=lambda i: places[i].sort_key())
+    members = []
+    for combo in itertools.product(*chosen):
+        last = closing.get(-sum(num for num, _ in combo) % modulus)
+        if last is not None:
+            pairs = [pair for _, pair in combo]
+            pairs.append(last)
+            members.append(BrauerClass(tuple(pairs[i] for i in canonical)))
+    return members
 
 
 def twins_by_places(b, c) -> bool:

@@ -111,7 +111,7 @@ def test_criterion_4_epsilon_families():
     crit = Criterion(4, "cubic families: sizes, shared subfields, genus counts")
     expected_sizes = {(2, 3): 2, (2, 3, 5): 2, (2, 3, 5, 7): 6}
     for primes, size in expected_sizes.items():
-        family = epsilon_family(primes)
+        family = epsilon_family(primes).members
         crit.check(len(family) == size, f"family {primes} should have {size} members")
         crit.check(len(set(family)) == len(family), f"family {primes} has duplicates")
         for m1, m2 in itertools.combinations(family, 2):

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from arithgenus import arith, cli
+from arithgenus import arith, cli, quadfield
 from arithgenus.arith import Place
 from arithgenus.brauer import parse_class
 from test_quadfield import count_squarefree_everywhere
@@ -59,6 +59,16 @@ class TestParse:
     def test_low_precision_rejected(self):
         with pytest.raises(cli.UsageError):
             cli.parse(["eta", "--d", "5", "--prec", "16"])
+
+    def test_precision_limit(self, monkeypatch):
+        limit = quadfield.MAX_PREC_BITS
+        for verb in (["eta", "--d=5"], ["spectrum", "--algebra=2:1/2,3:1/2", "--bound=30"]):
+            assert cli.parse(verb + [f"--prec={limit}"]).args["prec"] == limit
+            with pytest.raises(cli.UsageError, match=f"precision must be at most {limit} bits"):
+                cli.parse(verb + [f"--prec={limit + 1}"])
+        monkeypatch.setenv("ARITHGENUS_PREC_BITS", str(limit + 1))
+        with pytest.raises(cli.UsageError, match=f"ARITHGENUS_PREC_BITS must be at most {limit}"):
+            cli.parse(["eta", "--d=5"])
 
 
 class TestExecute:
@@ -166,6 +176,27 @@ class TestMainAndExitCodes:
         for argv in (["brauer", "--quaternion=0,1"], ["brauer", "--quaternion=3,0", "--add=x"]):
             assert run_main(argv, capsys) == (
                 2, "", '{"ok":false,"error":"usage: cannot factor 0"}\n')
+
+    def test_triple_quaternion_factoring_limit_is_domain_error(self, capsys, monkeypatch):
+        # the quat= class is built when the command runs, not while it is parsed
+        monkeypatch.setattr(arith, "_RHO_BUDGET", 2**12)
+        semiprime = 1073741789 * 1073741783
+        for argv in (["triple", f"--triple1=quat=-1,{semiprime}", "--triple2=form=1,1,1"],
+                     ["triple", "--triple1=quat=-1,3", f"--triple2=quat=-1,{semiprime};S=5"]):
+            assert run_main(argv, capsys) == (
+                1, '{"ok":false,"error":"factorization gave up: no factor of '
+                   f'{semiprime} within 4096 rho iterations"}}\n', "")
+
+    def test_triple_quaternion_usage_errors_stay_usage_errors(self, capsys):
+        for argv, error in (
+                (["triple", "--triple1=quat=0,1", "--triple2=form=1,1,1"], "cannot factor 0"),
+                (["triple", "--triple1=quat=-1,3", "--triple2=quat=3,0"], "cannot factor 0"),
+                (["triple", "--triple1=quat=-1,3;S=4", "--triple2=form=1,1,1"],
+                 "S must contain primes; got 4")):
+            assert run_main(argv, capsys) == (
+                2, "", f'{{"ok":false,"error":"usage: {error}"}}\n')
+        assert run_main(["triple", "--triple1=quat=-1,3;S=5", "--triple2=quat=2,3;S=5"],
+                        capsys) == (0, '{"ok":true,"result":{"commensurable":true}}\n', "")
 
     def test_determinism(self, capsys):
         argv = ["spectrum", "--algebra", "2:1/2,3:1/2", "--bound", "30"]
@@ -280,6 +311,29 @@ class TestBatch:
             {"ok": True, "result": -1},
             {"ok": False, "error": f"factorization gave up: no factor of {semiprime} "
                                    "within 1048576 rho iterations"},
+            {"ok": True, "result": -1},
+        ]
+        assert elapsed < 20
+
+    def test_spectrum_and_precision_limits_fail_cleanly(self):
+        # without the limits, the bound alone would run for hours
+        hilbert = json.dumps({"argv": ["hilbert", "-1", "3", "3"]})
+        lines = [json.dumps({"argv": ["spectrum", "--algebra=2:1/2,3:1/2", "--bound=100000000"]}),
+                 hilbert,
+                 json.dumps({"argv": ["spectrum", "--algebra=2:1/2,3:1/2", "--bound=300",
+                                      "--prec=1000000"]}),
+                 hilbert]
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "arithgenus.cli", "--batch"],
+                              input="\n".join(lines) + "\n", capture_output=True, text=True,
+                              timeout=60)
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 0, proc.stderr
+        replies = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert replies == [
+            {"ok": False, "error": "bound 100000000 exceeds the supported bound 10000"},
+            {"ok": True, "result": -1},
+            {"ok": False, "error": "usage: precision must be at most 1024 bits"},
             {"ok": True, "result": -1},
         ]
         assert elapsed < 20

@@ -3,11 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import oracles
-from arithgenus import genus
+from arithgenus import cli, genus
 from arithgenus.arith import Place, REAL_PLACE
 from arithgenus.brauer import (
+    BrauerClass,
     class_from_invariants,
     class_from_quaternion,
     class_neg,
@@ -23,6 +26,27 @@ from arithgenus.genus import (
 from oracles import same_maximal_subfields
 
 RNG_SEED = 77003
+PRIMES = (2, 3, 5, 7, 11, 13, 17)
+
+
+@st.composite
+def brauer_classes(draw):
+    """Classes over 2 to 5 places, with or without inf, whose finite
+    invariants have orders dividing some L in 2..12; the last finite place
+    closes the zero sum (and drops out when that leaves it 0)."""
+    modulus = draw(st.integers(2, 12))
+    with_real = draw(st.booleans())
+    count = draw(st.integers(2, 5)) - with_real
+    primes = draw(st.lists(st.sampled_from(PRIMES), min_size=count, max_size=count, unique=True))
+    invariants = {Place(p): Fraction(draw(st.integers(1, modulus - 1)), modulus)
+                  for p in primes[:-1]}
+    if with_real:
+        invariants[REAL_PLACE] = Fraction(1, 2)
+    invariants[Place(primes[-1])] = -sum(invariants.values())
+    cls = class_from_invariants(invariants)
+    # keep the search oracle, which tries every tuple of invariants, small
+    assume(oracles.genus_size_by_search_cost(cls) <= 4096)
+    return cls
 
 
 class TestEmbedsQuadratic:
@@ -191,24 +215,53 @@ class TestGenusEnumerate:
             assert genus_enumerate(cls).members == oracles.genus_members_by_search(cls), cls
 
     def test_genus_set_validation(self):
+        # numerators at the base's places 2 and 3; (2, 1) is the opposite class
         cls = parse_class("2:1/3,3:2/3")
-        with pytest.raises(ValueError):
-            GenusSet(cls, (class_neg(cls),))
+        with pytest.raises(ValueError, match="the base class must be among the members"):
+            GenusSet(cls, ((2, 1),))
+        assert GenusSet(cls, ((1, 2), (2, 1))).size == 2
 
     def test_members_must_have_same_maximal_subfields(self):
-        cls = parse_class("2:1/3,3:2/3")
-        other = parse_class("2:1/2,3:1/2")
-        with pytest.raises(ValueError, match="members must share the base's local indices"):
-            GenusSet(cls, (cls, other))
-        assert GenusSet(cls, (cls, class_neg(cls))).size == 2
+        cls = parse_class("2:1/4,3:3/4")
+        # (2, 2) is 2:1/2,3:1/2, of order 2 where the base has order 4
+        for wrong in ((2, 2), (1, 0), (4, 0), (1, 3, 0), (1,)):
+            with pytest.raises(ValueError, match="members must share the base's local indices"):
+                GenusSet(cls, ((1, 3), wrong))
+        assert GenusSet(cls, ((1, 3), (3, 1))).members == (cls, class_neg(cls))
 
-    def test_base_profile_computed_once(self, monkeypatch):
-        calls = []
-        index_profile = genus.index_profile
-        monkeypatch.setattr(genus, "index_profile", lambda c: calls.append(c) or index_profile(c))
-        members = genus_enumerate(parse_class("2:1/7,3:2/7,5:3/7,7:4/7,11:4/7"))
-        assert members.size == 1110
-        assert len(calls) == 1111
+    def test_members_must_sum_to_zero(self):
+        cls = parse_class("2:1/3,3:2/3")
+        with pytest.raises(ValueError, match="local invariants must sum to 0 in Q/Z"):
+            GenusSet(cls, ((1, 2), (1, 1)))
+        real = parse_class("2:1/4,5:1/4,inf:1/2")
+        with pytest.raises(ValueError, match="local invariants must sum to 0 in Q/Z"):
+            GenusSet(real, ((1, 1, 1), (3, 1, 1)))
+        assert GenusSet(real, ((1, 1, 1), (3, 3, 1))).texts() == [
+            "2:1/4,5:1/4,inf:1/2", "2:3/4,5:3/4,inf:1/2"]
+
+    def test_trivial_genus_set(self):
+        genus_set = GenusSet(BrauerClass(), ((),))
+        assert genus_set.members == (BrauerClass(),)
+        assert genus_set.texts() == [""]
+
+    def test_members_built_on_demand(self, monkeypatch):
+        cls = parse_class("2:1/7,3:2/7,5:3/7,7:4/7,11:4/7")
+        built = []
+        post_init = BrauerClass.__post_init__
+        monkeypatch.setattr(BrauerClass, "__post_init__",
+                            lambda self: built.append(self) or post_init(self))
+        genus_set = genus_enumerate(cls)
+        report = genus_report(genus_set)
+        assert report["size"] == 1110 and len(built) <= 1
+        # the 12-prime family reply builds only its base class
+        family = cli.execute(cli.parse(["family", "--primes=2,3,5,7,11,13,17,19,23,29,31,37"]))
+        assert family.result["size"] == 1366 and len(built) <= 2
+        built.clear()
+        members = genus_set.members
+        assert len(built) == 1110 and members is genus_set.members
+        monkeypatch.undo()
+        assert members == oracles.genus_members_by_search(cls)
+        assert report["members"] == sorted(str(m) for m in members)
 
     def test_combination_cap(self, monkeypatch):
         # phi(257)**3 = 2**24 choices over the first three places
@@ -232,18 +285,28 @@ class TestGenusEnumerate:
 
 class TestEpsilonFamily:
     def test_two_primes(self):
-        members = epsilon_family((2, 3))
-        assert [str(m) for m in members] == ["2:1/3,3:2/3", "2:2/3,3:1/3"]
+        family = epsilon_family((2, 3))
+        assert family.texts() == ["2:1/3,3:2/3", "2:2/3,3:1/3"]
+        assert [str(m) for m in family.members] == family.texts()
+        assert family.base == parse_class("2:1/3,3:2/3")
 
     def test_three_primes(self):
-        members = epsilon_family((2, 3, 5))
-        assert [str(m) for m in members] == [
+        family = epsilon_family((2, 3, 5))
+        assert [str(m) for m in family.members] == [
             "2:1/3,3:1/3,5:1/3",
             "2:2/3,3:2/3,5:2/3",
         ]
 
+    def test_primes_out_of_order(self):
+        # sign tuples over the primes as given; each member in place order
+        family = epsilon_family((5, 2, 3))
+        assert family.texts() == ["2:1/3,3:1/3,5:1/3", "2:2/3,3:2/3,5:2/3"]
+        family = epsilon_family((7, 3, 2, 5))
+        assert family.base == parse_class("2:2/3,3:1/3,5:2/3,7:1/3")
+        assert family.texts() == [str(m) for m in family.members]
+
     def test_four_primes(self):
-        members = epsilon_family((2, 3, 5, 7))
+        members = epsilon_family((2, 3, 5, 7)).members
         assert len(members) == 6
         # exactly the sign patterns with two +1 and two -1
         for m in members:
@@ -252,28 +315,29 @@ class TestEpsilonFamily:
 
     def test_family_members_share_subfields_pairwise(self):
         for primes in ((2, 3), (2, 3, 5), (2, 3, 5, 7), (3, 11, 13)):
-            members = epsilon_family(primes)
+            members = epsilon_family(primes).members
             assert len(set(members)) == len(members)
             for m1, m2 in itertools.combinations(members, 2):
                 assert same_maximal_subfields(m1, m2)
 
     def test_family_size_growth(self):
-        sizes = [len(epsilon_family((2, 3, 5, 7, 11, 13)[:r])) for r in range(2, 7)]
+        sizes = [epsilon_family((2, 3, 5, 7, 11, 13)[:r]).size for r in range(2, 7)]
         assert sizes == sorted(sizes)
-        assert len(epsilon_family((2, 3, 5, 7))) > len(epsilon_family((2, 3, 5)))
+        assert epsilon_family((2, 3, 5, 7)).size > epsilon_family((2, 3, 5)).size
 
     def test_each_member_is_cubic_division(self):
         from arithgenus.brauer import global_index
 
-        for member in epsilon_family((2, 5, 11)):
+        for member in epsilon_family((2, 5, 11)).members:
             assert global_index(member) == 3
 
     def test_family_is_genus_of_first_member(self):
         rng = random.Random(RNG_SEED + 3)
         for _ in range(12):
             primes = rng.sample((2, 3, 5, 7, 11, 13, 17), rng.randrange(2, 7))
-            members = epsilon_family(primes)
-            assert set(members) == set(genus_enumerate(members[0]).members), primes
+            family = epsilon_family(primes)
+            assert family.base == family.members[0]
+            assert set(family.members) == set(genus_enumerate(family.base).members), primes
 
     def test_combination_cap(self, monkeypatch):
         first_30_primes = [p for p in range(2, 114) if all(p % q for q in range(2, p))]
@@ -282,7 +346,7 @@ class TestEpsilonFamily:
             epsilon_family(first_30_primes)
         # 2**(n-1) sign choices for n primes; the limit itself is allowed
         monkeypatch.setattr(genus, "MAX_GENUS_COMBINATIONS", 8)
-        assert len(epsilon_family(first_30_primes[:4])) == 6
+        assert epsilon_family(first_30_primes[:4]).size == 6
         with pytest.raises(ValueError, match="needs 16 combinations, above the limit 8"):
             epsilon_family(first_30_primes[:5])
 
@@ -293,3 +357,21 @@ class TestEpsilonFamily:
             epsilon_family((2, 2))
         with pytest.raises(ValueError):
             epsilon_family((2, 9))
+
+
+class TestNumeratorGenusProperties:
+    @given(brauer_classes())
+    def test_report_matches_members_and_search(self, cls):
+        genus_set = genus_enumerate(cls)
+        members = genus_set.members
+        assert members == oracles.genus_members_by_search(cls)
+        assert genus_set.texts() == [str(m) for m in members]
+        assert genus_report(genus_set)["members"] == sorted(str(m) for m in members)
+
+    @given(st.lists(st.sampled_from(PRIMES + (19, 23, 29)), min_size=2, max_size=9, unique=True))
+    def test_family_matches_fraction_enumeration(self, primes):
+        family = epsilon_family(primes)
+        places = [Place(p) for p in primes]
+        expected = oracles.zero_sum_classes_by_fractions(places, [3] * len(primes))
+        assert family.texts() == [str(m) for m in expected]
+        assert family.members == tuple(expected)

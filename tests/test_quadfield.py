@@ -319,6 +319,10 @@ class TestEtaAnalytic:
     def test_precision_validation(self):
         with pytest.raises(ValueError):
             eta_analytic(5, 32)
+        limit = quadfield.MAX_PREC_BITS
+        assert eta_analytic(5, limit) > 2
+        with pytest.raises(ValueError, match=f"precision {limit + 1} bits exceeds the supported bound {limit}"):
+            eta_analytic(5, limit + 1)
 
     def test_matches_sine_product_oracle(self):
         for d in filter(is_squarefree, range(2, 300)):

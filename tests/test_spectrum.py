@@ -103,6 +103,18 @@ class TestAdmissible:
         with pytest.raises(ValueError):
             admissible_set(parse_class("2:1/3,3:2/3"), 2)
 
+    def test_bound_limit(self, monkeypatch):
+        cls = class_from_quaternion(-1, 3)
+        with pytest.raises(ValueError, match="bound 10001 exceeds the supported bound 10000"):
+            admissible_set(cls, spectrum.MAX_SPECTRUM_BOUND + 1)
+        # refused before any d is tested; the limit itself is allowed
+        calls = count_squarefree_everywhere(monkeypatch)
+        monkeypatch.setattr(spectrum, "MAX_SPECTRUM_BOUND", 20)
+        with pytest.raises(ValueError, match="bound 21 exceeds the supported bound 20"):
+            spectrum_generators(cls, 21)
+        assert calls == []
+        assert [g.d for g in spectrum_generators(cls, 20)] == admissible_set(cls, 20)
+
     def test_rejects_bad_d(self):
         cls = class_from_quaternion(-1, 3)
         for bad in (0, 1, 8):
@@ -191,6 +203,17 @@ class TestSpectrumGenerators:
         cls = class_from_quaternion(-1, 3)
         with pytest.raises(ValueError):
             spectrum_generators(cls, 1, 96)
+
+    def test_precision_limit(self, monkeypatch):
+        cls = class_from_quaternion(-1, 3)
+        limit = quadfield.MAX_PREC_BITS
+        calls = count_squarefree_everywhere(monkeypatch)
+        for precision in (32, limit + 1):
+            with pytest.raises(ValueError, match="precision"):
+                spectrum_generators(cls, 10, precision)
+        assert calls == []
+        monkeypatch.undo()
+        assert [g.d for g in spectrum_generators(cls, 10, limit)] == admissible_set(cls, 10)
 
     def test_trivial_class_rejected(self):
         with pytest.raises(ValueError):
