@@ -1,8 +1,8 @@
 """Exact arithmetic over Q and its completions.
 
 Factorization, Kronecker symbols, p-adic valuations, local square tests and
-Hilbert symbols.  All computations are on exact integers and Fractions;
-nothing in this module touches floating point.
+Hilbert symbols, all on exact integers: a local test reads a rational q
+through its square class, the integer numerator * denominator.
 """
 
 from __future__ import annotations
@@ -202,17 +202,12 @@ class Factorization:
 
 def factor(q: Rational) -> Factorization:
     """Exact signed factorization of a nonzero rational."""
-    q = Fraction(q)
     if q == 0:
         raise ValueError("cannot factor 0")
-    sign = 1 if q > 0 else -1
-    num = _factor_positive(abs(q.numerator))
-    den = _factor_positive(q.denominator)
-    merged = dict(num)
-    for p, e in den.items():
-        merged[p] = merged.get(p, 0) - e
-    items = tuple(sorted((p, e) for p, e in merged.items() if e != 0))
-    return Factorization(sign, items)
+    # numerator and denominator are coprime, so no prime is in both
+    exponents = _factor_positive(abs(q.numerator))
+    exponents.update((p, -e) for p, e in _factor_positive(q.denominator).items())
+    return Factorization(1 if q > 0 else -1, tuple(sorted(exponents.items())))
 
 
 def squarefree_part(n: int) -> int:
@@ -280,78 +275,57 @@ def padic_valuation(q: Rational, p: int) -> int:
     """Exponent of the prime p in the nonzero rational q."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return _valuation(Fraction(q), p)
-
-
-def _valuation(q: Fraction, p: int) -> int:
-    # p is already known to be prime, e.g. the prime of a Place
     if q == 0:
         raise ValueError("valuation of 0 is undefined")
+    return _split(q.numerator, p)[0] - _split(q.denominator, p)[0]
+
+
+def _split(n: int, p: int) -> tuple[int, int]:
+    """Write the nonzero integer n = p**v * u with u prime to p; returns (v, u)."""
     v = 0
-    num = abs(q.numerator)
-    while num % p == 0:
-        num //= p
+    while n % p == 0:
+        n //= p
         v += 1
-    den = q.denominator
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
-
-
-def _unit_part(q: Fraction, p: int) -> tuple[int, Fraction]:
-    """Write q = p**v * u with u a p-adic unit; returns (v, u)."""
-    v = _valuation(q, p)
-    return v, q / Fraction(p) ** v
-
-
-def _unit_mod(u: Fraction, p: int, modulus: int) -> int:
-    # u has numerator and denominator coprime to p; reduce it mod `modulus`
-    # (a power of p times a unit scale is fine as long as gcd(den, modulus)=1)
-    return u.numerator * pow(u.denominator, -1, modulus) % modulus
+    return v, n
 
 
 def is_local_square(q: Rational, v: Place) -> bool:
     """Whether q is a square in the completion of Q at v."""
-    q = Fraction(q)
-    if q == 0:
+    n = q.numerator * q.denominator  # the square class of q
+    if n == 0:
         raise ValueError("0 is not a unit; square test undefined")
     if v.is_real:
-        return q > 0
+        return n > 0
     p = v.prime
-    val, u = _unit_part(q, p)
+    val, u = _split(n, p)
     if val % 2:
         return False
     if p == 2:
-        return _unit_mod(u, 2, 8) == 1
-    return _jacobi(_unit_mod(u, p, p), p) == 1
+        return u % 8 == 1
+    return _jacobi(u, p) == 1
 
 
 def hilbert_symbol(a: Rational, b: Rational, v: Place) -> int:
     """The Hilbert symbol (a,b)_v: +1 iff z**2 = a*x**2 + b*y**2 has a
-    nontrivial solution over the completion at v."""
-    a, b = Fraction(a), Fraction(b)
+    nontrivial solution over the completion at v.  It depends only on the
+    square classes of a and b, read as the integers numerator * denominator."""
+    a, b = a.numerator * a.denominator, b.numerator * b.denominator
     if a == 0 or b == 0:
         raise ValueError("Hilbert symbol needs nonzero arguments")
     if v.is_real:
         return -1 if a < 0 and b < 0 else 1
     p = v.prime
-    alpha, u = _unit_part(a, p)
-    beta, w = _unit_part(b, p)
+    alpha, u = _split(a, p)
+    beta, w = _split(b, p)
     if p == 2:
-        eps_u = (_unit_mod(u, 2, 4) - 1) // 2
-        eps_w = (_unit_mod(w, 2, 4) - 1) // 2
-        omega_u = 1 if _unit_mod(u, 2, 8) in (3, 5) else 0
-        omega_w = 1 if _unit_mod(w, 2, 8) in (3, 5) else 0
-        e = eps_u * eps_w + alpha * omega_w + beta * omega_u
+        # epsilon(u) = 1 iff u = 3 mod 4, omega(u) = 1 iff u = 3, 5 mod 8
+        e = (u % 4 == 3 and w % 4 == 3) + alpha * (w % 8 in (3, 5)) + beta * (u % 8 in (3, 5))
         return -1 if e % 2 else 1
-    s = 1
-    if alpha % 2 and beta % 2 and p % 4 == 3:
-        s = -s
+    s = -1 if alpha % 2 and beta % 2 and p % 4 == 3 else 1
     if beta % 2:
-        s *= _jacobi(_unit_mod(u, p, p), p)
+        s *= _jacobi(u, p)
     if alpha % 2:
-        s *= _jacobi(_unit_mod(w, p, p), p)
+        s *= _jacobi(w, p)
     return s
 
 

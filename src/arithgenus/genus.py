@@ -25,7 +25,7 @@ from functools import cached_property
 from math import gcd, lcm, prod
 from operator import getitem, itemgetter, mul
 
-from .arith import Place, _factor_positive, is_local_square, is_prime, is_squarefree
+from .arith import Place, _factor_positive, is_local_square, is_squarefree
 from .brauer import BrauerClass, global_index
 
 # Most combinations one genus or epsilon-family enumeration may visit (a
@@ -160,13 +160,16 @@ def epsilon_family(primes: list[int] | tuple[int, ...]) -> GenusSet:
         raise ValueError("need at least two primes")
     if len(set(primes)) != len(primes):
         raise ValueError("primes must be distinct")
+    places = []
     for p in primes:
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+        try:
+            places.append(Place(p))
+        except ValueError:
+            raise ValueError(f"{p} is not prime") from None
     # numerators over the primes as given, stored in ascending place order
     canonical = sorted(range(len(primes)), key=primes.__getitem__)
     numerators = tuple(map(itemgetter(*canonical), _zero_sum_numerators([3] * len(primes))))
-    base = BrauerClass(tuple((Place(primes[i]), Fraction(k, 3))
+    base = BrauerClass(tuple((places[i], Fraction(k, 3))
                              for i, k in zip(canonical, numerators[0])))
     return GenusSet(base, numerators)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, prod
 from typing import Union
 
 from .arith import (
@@ -77,10 +78,10 @@ class LocalInvariants:
 
 
 def _disc_class(coeffs: tuple[Fraction, ...]) -> int:
-    prod = Fraction(1)
-    for a in coeffs:
-        prod *= a
-    return squarefree_part(prod.numerator * prod.denominator)
+    # the product's square class, num * den of the reduced product
+    num, den = prod(a.numerator for a in coeffs), prod(a.denominator for a in coeffs)
+    common = gcd(num, den)
+    return squarefree_part(num * den // (common * common))
 
 
 def _relevant_places(f: QuadraticForm) -> list[Place]:

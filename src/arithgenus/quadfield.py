@@ -5,8 +5,8 @@ the narrow class number counts the cycles of the reduced forms (a, b, c),
 whose |a| lies in one interval for each 0 < b < sqrt(D).  The analytic unit
 eta(d) = eps(d)^(2h) of the class-number formula follows from both.
 
-The unit and class-number computations are exact; only real embeddings use
-(high-precision) floating point via mpmath.
+The unit and class-number computations are exact, and a real embedding is
+correctly rounded from one integer square root.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ MAX_D = 10**6
 # ARITHGENUS_PREC_BITS); a spectrum at the bound limit and 1024 bits takes
 # about 2 s
 MAX_PREC_BITS = 1024
-_GUARD_BITS = 64
 _CF_ITERATION_CAP = 10**7
 
 
@@ -147,16 +146,30 @@ def _check_precision(precision: int) -> None:
 
 
 def unit_real_value(u: QuadUnit, precision: int = 128) -> mpmath.mpf:
-    """The real embedding x + y*sqrt(d) at the requested precision in bits."""
+    """The real embedding x + y*sqrt(d), correctly rounded to `precision` bits.
+
+    With X = 2x and Y = 2y, n = floor(2^k * (X + Y*sqrt(d))) takes one integer
+    square root.  sqrt(d) is irrational, so the value lies strictly between
+    n and n + 1 (in units of 2^-(k+1)); once n has precision + 2 bits no
+    rounding boundary lies between them, and (2n + 1) * 2^-(k+2) rounds like
+    the value itself.  k grows until n is that long.
+    """
     if precision < 64:
         raise ValueError("precision must be at least 64 bits")
-    with mp.workprec(precision + _GUARD_BITS):
-        value = (
-            mpmath.mpf(u.x.numerator) / u.x.denominator
-            + mpmath.mpf(u.y.numerator) / u.y.denominator * mp.sqrt(u.field.d)
-        )
-    with mp.workprec(precision):
-        return +value
+    big_x = 2 * u.x.numerator // u.x.denominator
+    big_y = 2 * u.y.numerator // u.y.denominator
+    if big_y == 0:
+        return mpmath.mpf(big_x // 2)  # the units +-1
+    square, k = big_y * big_y * u.field.d, 0
+    while True:
+        root = isqrt(square << 2 * k)
+        n = (big_x << k) + (root if big_y > 0 else ~root)  # ~root = floor(-2^k |Y| sqrt(d))
+        missing = precision + 2 - abs(n).bit_length()
+        if missing <= 0:
+            with mp.workprec(precision):
+                return mpmath.mpf((2 * n + 1, -k - 2))
+        # |n| <= 1 tells nothing of the scale, so k at least doubles
+        k += missing if abs(n) > 1 else max(missing, k)
 
 
 # ---------------------------------------------------------------------------
@@ -300,12 +313,9 @@ def eta_analytic(d: int | QuadField, precision: int = 128) -> mpmath.mpf:
     equals prod_{r=1}^{disc-1} sin(pi*r/disc)^(-chi(r)) for the fundamental
     discriminant disc of Q(sqrt(d)) and chi(r) the Kronecker symbol (disc/r).
 
-    eta has norm +1, so eta = 2x - 1/eta with 2x its integer trace; 1/eta is
-    taken at 64 guard bits and the difference is rounded once.
+    eta is an exact unit of the ring of integers, so ``unit_real_value``
+    rounds it correctly from its integer coordinates.
     """
     eps = fundamental_unit(d)  # checks d before the precision
     _check_precision(precision)
-    eta = eps ** (2 * _class_data(eps).class_number)
-    with mp.workprec(precision + _GUARD_BITS):
-        inverse = 1 / unit_real_value(eta, precision + _GUARD_BITS)
-    return mp.fsub(int(2 * eta.x), inverse, prec=precision)
+    return unit_real_value(eps ** (2 * _class_data(eps).class_number), precision)

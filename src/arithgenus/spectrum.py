@@ -21,13 +21,15 @@ from .arith import is_squarefree
 from .brauer import BrauerClass, global_index
 from .genus import _embeds
 from .quadfield import (
-    _GUARD_BITS, QuadField, QuadUnit, _check_precision, _class_data, fundamental_unit,
+    QuadField, QuadUnit, _check_precision, _class_data, fundamental_unit,
     unit_real_value,
 )
 
 # Largest bound on d of the admissible set and the spectrum generators; at
 # 1024 bits (quadfield.MAX_PREC_BITS) the generators up to it take about 2 s
 MAX_SPECTRUM_BOUND = 10**4
+# extra bits at which each log eta is taken before its one rounding
+_GUARD_BITS = 64
 
 
 @dataclass(frozen=True)

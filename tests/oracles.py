@@ -643,13 +643,13 @@ def eta_by_sine_product(d: int, precision: int = 128):
     from mpmath import mp
 
     from arithgenus.arith import kronecker_symbol
-    from arithgenus.quadfield import _GUARD_BITS, QuadField, _check_d
+    from arithgenus.quadfield import QuadField, _check_d
 
     _check_d(d)
     if precision < 64:
         raise ValueError("precision must be at least 64 bits")
     disc = QuadField(d).fundamental_discriminant
-    with mp.workprec(precision + _GUARD_BITS):
+    with mp.workprec(precision + 64):
         log_eta = mp.mpf(0)
         pi_over_disc = mp.pi / disc
         for r in range(1, disc):
@@ -738,6 +738,76 @@ def witt_index_by_global_states(f) -> int:
         state = _state_residual(state)
         index += 1
     return index
+
+
+# ---------------------------------------------------------------------------
+# Local symbols on p-adic unit parts as Fractions
+
+
+def _fraction_unit_part(q: Fraction, p: int) -> tuple[int, Fraction]:
+    """Write q = p**v * u with u a p-adic unit; returns (v, u)."""
+    v = 0
+    num, den = abs(q.numerator), q.denominator
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v, q / Fraction(p) ** v
+
+
+def _fraction_unit_mod(u: Fraction, modulus: int) -> int:
+    # u has numerator and denominator coprime to `modulus`
+    return u.numerator * pow(u.denominator, -1, modulus) % modulus
+
+
+def is_local_square_by_fractions(q, v: Place) -> bool:
+    """Whether q is a square at v, from its p-adic unit part as a Fraction."""
+    from arithgenus.arith import _jacobi
+
+    q = Fraction(q)
+    if q == 0:
+        raise ValueError("0 is not a unit; square test undefined")
+    if v.is_real:
+        return q > 0
+    p = v.prime
+    val, u = _fraction_unit_part(q, p)
+    if val % 2:
+        return False
+    if p == 2:
+        return _fraction_unit_mod(u, 8) == 1
+    return _jacobi(_fraction_unit_mod(u, p), p) == 1
+
+
+def hilbert_symbol_by_fractions(a, b, v: Place) -> int:
+    """The Hilbert symbol (a,b)_v from Serre's formulas (A Course in
+    Arithmetic, ch. III, Theorem 1) on the unit parts as Fractions."""
+    from arithgenus.arith import _jacobi
+
+    a, b = Fraction(a), Fraction(b)
+    if a == 0 or b == 0:
+        raise ValueError("Hilbert symbol needs nonzero arguments")
+    if v.is_real:
+        return -1 if a < 0 and b < 0 else 1
+    p = v.prime
+    alpha, u = _fraction_unit_part(a, p)
+    beta, w = _fraction_unit_part(b, p)
+    if p == 2:
+        eps_u = (_fraction_unit_mod(u, 4) - 1) // 2
+        eps_w = (_fraction_unit_mod(w, 4) - 1) // 2
+        omega_u = 1 if _fraction_unit_mod(u, 8) in (3, 5) else 0
+        omega_w = 1 if _fraction_unit_mod(w, 8) in (3, 5) else 0
+        e = eps_u * eps_w + alpha * omega_w + beta * omega_u
+        return -1 if e % 2 else 1
+    s = 1
+    if alpha % 2 and beta % 2 and p % 4 == 3:
+        s = -s
+    if beta % 2:
+        s *= _jacobi(_fraction_unit_mod(u, p), p)
+    if alpha % 2:
+        s *= _jacobi(_fraction_unit_mod(w, p), p)
+    return s
 
 
 # ---------------------------------------------------------------------------

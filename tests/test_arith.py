@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import oracles
 from arithgenus import arith
@@ -309,3 +311,113 @@ def test_is_prime_matches_sieve():
                 sieve[j] = False
     for n in range(2000):
         assert is_prime(n) == sieve[n]
+
+
+def _next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+# 2 and the small odd primes, and primes up to about 2**31
+primes = st.one_of(st.sampled_from((2, 3, 5, 7)), st.integers(11, 2**31).map(_next_prime))
+
+
+@st.composite
+def rationals_at(draw, p):
+    """A signed rational p**e * n/m with n, m up to 2**31, as an int when m = 1."""
+    n = draw(st.integers(1, 2**31)) * draw(st.sampled_from((1, -1)))
+    m = draw(st.integers(1, 2**31))
+    q = Fraction(n, m) * Fraction(p) ** draw(st.integers(-4, 4))
+    return q.numerator if q.denominator == 1 else q
+
+
+@st.composite
+def prime_and_rationals(draw, count):
+    p = draw(primes)
+    return (p, *(draw(rationals_at(p)) for _ in range(count)))
+
+
+class TestLocalSymbolProperties:
+    @given(prime_and_rationals(2))
+    def test_match_fraction_oracle(self, case):
+        p, a, b = case
+        for v in (Place(p), REAL_PLACE):
+            assert hilbert_symbol(a, b, v) == oracles.hilbert_symbol_by_fractions(a, b, v)
+            assert is_local_square(a, v) == oracles.is_local_square_by_fractions(a, v)
+        assert padic_valuation(a, p) == oracles._fraction_unit_part(Fraction(a), p)[0]
+
+    @given(prime_and_rationals(2))
+    def test_hilbert_reciprocity(self, case):
+        _, a, b = case
+        product = 1
+        for v in support_places(a, b):
+            product *= hilbert_symbol(a, b, v)
+        assert product == 1
+
+    @given(prime_and_rationals(3))
+    def test_symmetric_and_bilinear(self, case):
+        p, a, b, c = case
+        for v in (Place(p), Place(2), REAL_PLACE):
+            assert hilbert_symbol(a, b, v) == hilbert_symbol(b, a, v)
+            assert hilbert_symbol(a, b * c, v) == hilbert_symbol(a, b, v) * hilbert_symbol(a, c, v)
+
+    @given(prime_and_rationals(1))
+    def test_steinberg_relation(self, case):
+        p, a = case
+        assume(a != 1)
+        for v in (Place(p), Place(2), REAL_PLACE):
+            assert hilbert_symbol(a, 1 - a, v) == 1
+
+
+class TestAgainstSympy:
+    STRONG_PSEUDOPRIMES = (3215031751, 2152302898747, 3474749660383, 341550071728321,
+                           3825123056546413051)
+
+    def test_is_prime_matches_isprime(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(RNG_SEED + 5)
+        cases = [rng.getrandbits(rng.randint(2, 64)) for _ in range(3000)]
+        cases += [sympy.nextprime(rng.getrandbits(rng.randint(2, 63))) for _ in range(300)]
+        cases += [sympy.nextprime(rng.getrandbits(32)) * sympy.nextprime(rng.getrandbits(31))
+                  for _ in range(300)]
+        cases += self.STRONG_PSEUDOPRIMES
+        for n in cases:
+            assert is_prime(n) == sympy.isprime(n), n
+        assert not any(is_prime(n) for n in self.STRONG_PSEUDOPRIMES)
+
+    def test_factor_matches_factorint(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(RNG_SEED + 6)
+
+        def semiprime():
+            return sympy.nextprime(rng.getrandbits(20)) * sympy.nextprime(rng.getrandbits(20))
+
+        for _ in range(200):
+            q = Fraction(rng.choice((1, -1)) * semiprime() * rng.randrange(1, 2**12),
+                         semiprime() * rng.randrange(1, 2**12))
+            expected = dict(sympy.factorint(abs(q.numerator)))
+            expected.update((p, -e) for p, e in sympy.factorint(q.denominator).items())
+            f = factor(q)
+            assert (f.sign, dict(f.factors)) == (1 if q > 0 else -1, expected), q
+
+    def test_kronecker_symbol_matches(self):
+        numbers = pytest.importorskip("sympy.functions.combinatorial.numbers")
+        rng = random.Random(RNG_SEED + 7)
+        for _ in range(3000):
+            a = rng.randint(-2**40, 2**40) >> rng.randint(0, 40)
+            n = rng.randint(-2**40, 2**40) >> rng.randint(0, 40)
+            if (a, n) != (0, 0):
+                assert kronecker_symbol(a, n) == numbers.kronecker_symbol(a, n), (a, n)
+
+    def test_is_local_square_matches_is_quad_residue(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(RNG_SEED + 8)
+        for _ in range(1000):
+            p = sympy.nextprime(rng.randrange(3, 2**31))
+            a = rng.choice((1, -1)) * rng.randrange(1, 2**40)
+            e = rng.randint(-3, 3)
+            q = Fraction(a) * Fraction(p) ** e
+            expected = a % p != 0 and e % 2 == 0 and sympy.is_quad_residue(a % p, p)
+            if a % p:
+                assert is_local_square(q, Place(p)) == expected, (q, p)

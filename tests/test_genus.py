@@ -358,6 +358,27 @@ class TestEpsilonFamily:
         with pytest.raises(ValueError):
             epsilon_family((2, 9))
 
+    def test_each_prime_checked_once(self, monkeypatch):
+        from arithgenus import arith
+
+        calls = []
+        original = arith.is_prime
+
+        def counting(n):
+            calls.append(n)
+            return original(n)
+
+        # genus may bind is_prime itself; Place looks it up in arith
+        for module in (arith, genus):
+            monkeypatch.setattr(module, "is_prime", counting, raising=False)
+        epsilon_family((2, 3, 5, 7))
+        assert calls == [2, 3, 5, 7]
+
+    def test_malformed_family_line_reply(self):
+        # the benchmark's malformed line family --primes=2,<2n>,<p>
+        assert cli.execute(cli.parse(["family", "--primes=2,8,5"])).to_json() == (
+            '{"ok":false,"error":"8 is not prime"}')
+
 
 class TestNumeratorGenusProperties:
     @given(brauer_classes())

@@ -1,7 +1,8 @@
 """Every name that ``arithgenus/__init__.py`` exports is used by another
-module of the package or wrapped by the benchmark tracer, so the public
-surface carries no names that only the tests call.  Test-only references
-live in ``tests/oracles.py``."""
+module of the package or wrapped by the benchmark tracer, and every private
+function or class is referenced somewhere in the package, so the package
+carries no code that only the tests call.  Test-only references live in
+``tests/oracles.py``."""
 
 import ast
 from pathlib import Path
@@ -44,3 +45,23 @@ def test_every_export_is_used_or_traced():
     assert exported and all(hasattr(arithgenus, name) for name in exported)
     reached = names_used_by_package() | traced_names()
     assert [name for name in exported if name not in reached] == []
+
+
+def _registered_verb(node):
+    # handlers that @_verb(...) puts into the CLI verb table
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "_verb"
+               for d in node.decorator_list)
+
+
+def test_every_private_definition_is_referenced():
+    used = names_used_by_package()
+    unreferenced = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            private = name.startswith("_") and not name.endswith("__")
+            if private and name not in used and not _registered_verb(node):
+                unreferenced.append(f"{path.name}:{name}")
+    assert unreferenced == []

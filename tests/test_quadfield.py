@@ -2,7 +2,10 @@ import random
 import sys
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from mpmath import mp
 
 import oracles
@@ -361,3 +364,39 @@ class TestUnitRealValue:
         assert abs(unit_real_value(fundamental_unit(5), 64) - (1 + 5**0.5) / 2) < 1e-12
         one = QuadUnit(QuadField(7), Fraction(1), Fraction(0), 1)
         assert unit_real_value(one, 64) == 1
+
+    # (d, bits) where eps(d)^(2h) once came out one ulp off, rounded from
+    # 64 guard bits
+    NEAR_MIDPOINT = ((439, 96), (463, 96), (1091, 65), (1261, 65), (2099, 128), (2243, 64),
+                     (2351, 65), (2389, 96), (2485, 64), (2653, 65), (2909, 64))
+
+    @staticmethod
+    def rounded_reference(u, precision):
+        # x + y*sqrt(d) at 4000 bits without cancellation: when x and y differ
+        # in sign, as norm / (x - y*sqrt(d)); then one rounding to precision
+        with mp.workprec(4000):
+            x = mpmath.mpf(u.x.numerator) / u.x.denominator
+            y_root = mpmath.mpf(u.y.numerator) / u.y.denominator * mp.sqrt(u.field.d)
+            value = x + y_root if x * y_root >= 0 else u.norm / (x - y_root)
+        with mp.workprec(precision):
+            return +value
+
+    @given(st.sampled_from(SQUAREFREE_BELOW_3000), st.integers(-4, 4),
+           st.sampled_from((1, -1)), st.integers(64, 1024))
+    def test_correctly_rounded(self, d, k, sign, precision):
+        u = fundamental_unit(d) ** k
+        if sign < 0:
+            u = QuadUnit(u.field, -u.x, -u.y, u.norm)
+        assert unit_real_value(u, precision) == self.rounded_reference(u, precision)
+
+    @pytest.mark.parametrize("d,precision", NEAR_MIDPOINT)
+    def test_eta_near_a_midpoint(self, d, precision):
+        eps = fundamental_unit(d)
+        eta = eps ** (2 * class_number(d).class_number)
+        want = self.rounded_reference(eta, precision)
+        assert unit_real_value(eta, precision) == want
+        assert eta_analytic(d, precision) == want
+
+    def test_precision_below_64_rejected(self):
+        with pytest.raises(ValueError, match="at least 64 bits"):
+            unit_real_value(fundamental_unit(2), 63)
