@@ -164,7 +164,9 @@ def epsilon_family(primes: list[int] | tuple[int, ...]) -> GenusSet:
     for p in primes:
         try:
             places.append(Place(p))
-        except ValueError:
+        except ValueError as exc:
+            if not str(exc).endswith("not a finite place"):
+                raise  # a refusal: p is too large, or not provably prime
             raise ValueError(f"{p} is not prime") from None
     # numerators over the primes as given, stored in ascending place order
     canonical = sorted(range(len(primes)), key=primes.__getitem__)

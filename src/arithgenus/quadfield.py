@@ -5,8 +5,9 @@ the narrow class number counts the cycles of the reduced forms (a, b, c),
 whose |a| lies in one interval for each 0 < b < sqrt(D).  The analytic unit
 eta(d) = eps(d)^(2h) of the class-number formula follows from both.
 
-The unit and class-number computations are exact, and a real embedding is
-correctly rounded from one integer square root.
+A unit is kept as the integers X = 2x, Y = 2y of x + y*sqrt(d); the unit and
+class-number computations are exact, and every real value of a unit is
+correctly rounded from one integer bracket of X + Y*sqrt(d).
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from mpmath import mp
 from .arith import is_squarefree
 
 MAX_D = 10**6
-# Most working bits of eta and the spectrum generators (the CLI's --prec and
-# ARITHGENUS_PREC_BITS); a spectrum at the bound limit and 1024 bits takes
-# about 2 s
+# Most bits of any real value of a unit: eta, geodesic lengths and the
+# spectrum generators (the CLI's --prec and ARITHGENUS_PREC_BITS); a spectrum
+# at the bound limit and 1024 bits takes about 2 s
 MAX_PREC_BITS = 1024
 _CF_ITERATION_CAP = 10**7
 
@@ -52,63 +53,56 @@ class QuadField:
 
 @dataclass(frozen=True)
 class QuadUnit:
-    """A unit x + y*sqrt(d) of the ring of integers of Q(sqrt(d)).
-
-    For d = 2, 3 mod 4 the coordinates are integers; for d = 1 mod 4 they are
-    half-integers with 2x and 2y of equal parity.  The norm x^2 - d*y^2 is +1
-    or -1.
-    """
+    """A unit x + y*sqrt(d) = (X + Y*sqrt(d))/2 of the ring of integers of
+    Q(sqrt(d)), kept as the integers X and Y.  Its norm is +1 or -1 and
+    X^2 - d*Y^2 = 4*norm, which for squarefree d alone makes X and Y even
+    for d = 2, 3 mod 4 and of equal parity for d = 1 mod 4."""
 
     field: QuadField
-    x: Fraction
-    y: Fraction
+    X: int
+    Y: int
     norm: int
 
     def __post_init__(self):
-        d = self.field.d
-        if self.x * self.x - d * self.y * self.y != self.norm:
+        if self.X * self.X - self.field.d * self.Y * self.Y != 4 * self.norm:
             raise ValueError("norm does not match the coordinates")
         if self.norm not in (1, -1):
             raise ValueError("a unit has norm +1 or -1")
-        two_x, two_y = 2 * self.x, 2 * self.y
-        if two_x.denominator != 1 or two_y.denominator != 1:
-            raise ValueError("coordinates must be half-integers")
-        if d % 4 != 1:
-            if self.x.denominator != 1 or self.y.denominator != 1:
-                raise ValueError("coordinates must be integers for d = 2,3 mod 4")
-        elif (two_x.numerator - two_y.numerator) % 2:
-            raise ValueError("2x and 2y must have equal parity for d = 1 mod 4")
+
+    @property
+    def x(self) -> Fraction:
+        return Fraction(self.X, 2)
+
+    @property
+    def y(self) -> Fraction:
+        return Fraction(self.Y, 2)
 
     @classmethod
     def make(cls, field: QuadField, x, y) -> "QuadUnit":
+        """The unit x + y*sqrt(d) from rational coordinates."""
         x, y = Fraction(x), Fraction(y)
-        norm = x * x - field.d * y * y
-        if norm.denominator != 1 or norm.numerator not in (1, -1):
+        big_x, x_rest = divmod(2 * x.numerator, x.denominator)
+        big_y, y_rest = divmod(2 * y.numerator, y.denominator)
+        norm4 = big_x * big_x - field.d * big_y * big_y
+        if x_rest or y_rest or norm4 not in (4, -4):
             raise ValueError(f"{x} + {y}*sqrt({field.d}) is not a unit")
-        return cls(field, x, y, int(norm))
+        return cls(field, big_x, big_y, norm4 // 4)
 
     def __mul__(self, other: "QuadUnit") -> "QuadUnit":
         if self.field != other.field:
             raise ValueError("units of different fields cannot be multiplied")
-        d = self.field.d
-        x = self.x * other.x + d * self.y * other.y
-        y = self.x * other.y + self.y * other.x
-        return QuadUnit(self.field, x, y, self.norm * other.norm)
-
-    def conjugate(self) -> "QuadUnit":
-        return QuadUnit(self.field, self.x, -self.y, self.norm)
+        big_x = (self.X * other.X + self.field.d * self.Y * other.Y) // 2
+        big_y = (self.X * other.Y + self.Y * other.X) // 2
+        return QuadUnit(self.field, big_x, big_y, self.norm * other.norm)
 
     def inverse(self) -> "QuadUnit":
-        # u * conj(u) = norm, and norm is +-1
-        conj = self.conjugate()
-        if self.norm == 1:
-            return conj
-        return QuadUnit(self.field, -conj.x, -conj.y, self.norm)
+        # u * conj(u) = norm, and norm is +-1, so 1/u = norm * conj(u)
+        return QuadUnit(self.field, self.norm * self.X, -self.norm * self.Y, self.norm)
 
     def __pow__(self, k: int) -> "QuadUnit":
         # square-and-multiply over the bits of |k|
         base = self if k >= 0 else self.inverse()
-        result = QuadUnit(self.field, Fraction(1), Fraction(0), 1)
+        result = QuadUnit(self.field, 2, 0, 1)
         k = abs(k)
         while k:
             if k & 1:
@@ -119,57 +113,55 @@ class QuadUnit:
         return result
 
     def compare_real(self, t) -> int:
-        """Sign of (x + y*sqrt(d)) - t for rational t, computed exactly."""
-        t = Fraction(t)
-        lhs = t - self.x  # compare y*sqrt(d) against this
-        d = self.field.d
-        if self.y >= 0:
-            if lhs < 0:
-                return 1
-            diff = d * self.y * self.y - lhs * lhs
-        else:
-            if lhs >= 0:
-                return -1
-            diff = lhs * lhs - d * self.y * self.y
-        return (diff > 0) - (diff < 0)
+        """Sign of (x + y*sqrt(d)) - t for rational t (an int or a Fraction),
+        computed exactly: with t = p/q it is the sign of a + b*sqrt(d) for
+        a = q*X - 2p and b = q*Y."""
+        a, b = t.denominator * self.X - 2 * t.numerator, t.denominator * self.Y
+        if a > 0 > b or b > 0 > a:
+            # (a + b*sqrt(d)) * (a - b*sqrt(d)) = diff, and a - b*sqrt(d) has a's sign
+            diff = a * a - self.field.d * b * b
+            return ((diff > 0) - (diff < 0)) * (1 if a > 0 else -1)
+        return (a + b > 0) - (a + b < 0)
 
     def __str__(self) -> str:
         return f"{self.x} + {self.y}*sqrt({self.field.d})"
 
 
 def _check_precision(precision: int) -> None:
-    # the precision asked of eta or the spectrum; guard bits may go beyond it
+    # the precision asked of any real value of a unit
     if precision < 64:
         raise ValueError("precision must be at least 64 bits")
     if precision > MAX_PREC_BITS:
         raise ValueError(f"precision {precision} bits exceeds the supported bound {MAX_PREC_BITS}")
 
 
-def unit_real_value(u: QuadUnit, precision: int = 128) -> mpmath.mpf:
-    """The real embedding x + y*sqrt(d), correctly rounded to `precision` bits.
-
-    With X = 2x and Y = 2y, n = floor(2^k * (X + Y*sqrt(d))) takes one integer
-    square root.  sqrt(d) is irrational, so the value lies strictly between
-    n and n + 1 (in units of 2^-(k+1)); once n has precision + 2 bits no
-    rounding boundary lies between them, and (2n + 1) * 2^-(k+2) rounds like
-    the value itself.  k grows until n is that long.
-    """
-    if precision < 64:
-        raise ValueError("precision must be at least 64 bits")
-    big_x = 2 * u.x.numerator // u.x.denominator
-    big_y = 2 * u.y.numerator // u.y.denominator
-    if big_y == 0:
-        return mpmath.mpf(big_x // 2)  # the units +-1
-    square, k = big_y * big_y * u.field.d, 0
+def _bracket(u: QuadUnit, bits: int) -> tuple[int, int]:
+    """(n, k) with X + Y*sqrt(d) strictly inside (n, n + 1) * 2^-k and |n| of
+    at least `bits` bits, for a unit with Y != 0: n = floor(2^k * (X + Y*sqrt(d)))
+    takes one integer square root, and is never the value, as sqrt(d) is
+    irrational.  k grows until n is long enough."""
+    square, k = u.Y * u.Y * u.field.d, 0
     while True:
         root = isqrt(square << 2 * k)
-        n = (big_x << k) + (root if big_y > 0 else ~root)  # ~root = floor(-2^k |Y| sqrt(d))
-        missing = precision + 2 - abs(n).bit_length()
+        n = (u.X << k) + (root if u.Y > 0 else ~root)  # ~root = floor(-2^k |Y| sqrt(d))
+        missing = bits - abs(n).bit_length()
         if missing <= 0:
-            with mp.workprec(precision):
-                return mpmath.mpf((2 * n + 1, -k - 2))
+            return n, k
         # |n| <= 1 tells nothing of the scale, so k at least doubles
         k += missing if abs(n) > 1 else max(missing, k)
+
+
+def unit_real_value(u: QuadUnit, precision: int = 128) -> mpmath.mpf:
+    """The real embedding x + y*sqrt(d), correctly rounded to `precision` bits:
+    ``_bracket`` puts it strictly inside (n, n + 1) * 2^-(k+1) with n of
+    precision + 2 bits, so no rounding boundary lies there, and the midpoint
+    (2n + 1) * 2^-(k+2) rounds like the value itself."""
+    _check_precision(precision)
+    if u.Y == 0:
+        return mpmath.mpf(u.X // 2)  # the units +-1
+    n, k = _bracket(u, precision + 2)
+    with mp.workprec(precision):
+        return mpmath.mpf((2 * n + 1, -k - 2))
 
 
 # ---------------------------------------------------------------------------
@@ -203,15 +195,16 @@ def fundamental_unit(d: int | QuadField) -> QuadUnit:
     b = root - (root - big_d) % 2
     p, q = b, 2
     q1, q2 = 0, 1
-    for _ in range(_CF_ITERATION_CAP):
+    for steps in range(1, _CF_ITERATION_CAP + 1):
         a = (p + root) // q
         p = a * q - p
         q = (big_d - p * p) // q
         q1, q2 = a * q1 + q2, q1
         if p == b and q == 2:
-            # sqrt(D) = s*sqrt(d) with s = 2 for D = 4d and s = 1 for D = d
+            # sqrt(D) = s*sqrt(d) with s = 2 for D = 4d and s = 1 for D = d;
+            # the norm is -1 to the period length
             s = 2 if big_d != field.d else 1
-            unit = QuadUnit.make(field, Fraction(q1 * b + 2 * q2, 2), Fraction(q1 * s, 2))
+            unit = QuadUnit(field, q1 * b + 2 * q2, q1 * s, (-1) ** steps)
             assert unit.compare_real(1) > 0
             return unit
     raise RuntimeError(f"continued fraction of sqrt({field.d}) did not cycle within the cap")
@@ -280,21 +273,18 @@ def class_number(d: int | QuadField) -> ClassData:
 def _class_data(eps: QuadUnit) -> ClassData:
     field = eps.field
     disc = field.fundamental_discriminant
-    forms = _reduced_forms(disc)
+    remaining = _reduced_forms(disc)
     root = isqrt(disc)
-    remaining = set(forms)
     cycles = 0
     while remaining:
         cycles += 1
-        start = min(remaining)
-        current = start
-        while True:
-            remaining.discard(current)
-            current = _rho(current, disc, root)
-            if current not in forms:
-                raise RuntimeError(f"reduction left the reduced set at {current}")
-            if current == start:
-                break
+        # reduction permutes the reduced forms, so a walk from any unvisited
+        # form meets only unvisited ones until it is back at its start
+        start = current = remaining.pop()
+        while (current := _rho(current, disc, root)) != start:
+            if current not in remaining:
+                raise RuntimeError(f"reduction left the unvisited reduced forms at {current}")
+            remaining.remove(current)
     if eps.norm == -1:
         h = cycles
     else:
@@ -311,11 +301,8 @@ def _class_data(eps: QuadUnit) -> ClassData:
 def eta_analytic(d: int | QuadField, precision: int = 128) -> mpmath.mpf:
     """The unit eta(d) = eps(d)^(2h) of the class-number formula, which
     equals prod_{r=1}^{disc-1} sin(pi*r/disc)^(-chi(r)) for the fundamental
-    discriminant disc of Q(sqrt(d)) and chi(r) the Kronecker symbol (disc/r).
-
-    eta is an exact unit of the ring of integers, so ``unit_real_value``
-    rounds it correctly from its integer coordinates.
-    """
+    discriminant disc of Q(sqrt(d)) and chi(r) the Kronecker symbol (disc/r),
+    correctly rounded by ``unit_real_value`` from its integer coordinates."""
     eps = fundamental_unit(d)  # checks d before the precision
     _check_precision(precision)
     return unit_real_value(eps ** (2 * _class_data(eps).class_number), precision)

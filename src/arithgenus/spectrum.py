@@ -3,10 +3,11 @@
 For a quaternion division algebra over Q split at the real place, the
 admissible d are the squarefree d > 1 with Q(sqrt(d)) a maximal subfield;
 each contributes the generator log(eta(d)) of a ray of rational lengths.
-By the class-number formula eta(d) = eps(d)^(2h), so a generator is h times
-the length of the closed geodesic of the fundamental unit.  Two surfaces of
-this family are length-commensurable exactly when their algebras are
-isomorphic (Reid; Prasad-Rapinchuk), that is, when the classes are equal.
+By the class-number formula eta(d) = eps(d)^(2h), so a generator is the
+length of the closed geodesic of eps(d)^h; every length here is correctly
+rounded by interval enclosure.  Two surfaces of this family are
+length-commensurable exactly when their algebras are isomorphic (Reid;
+Prasad-Rapinchuk), that is, when the classes are equal.
 """
 
 from __future__ import annotations
@@ -15,21 +16,18 @@ import math
 from dataclasses import dataclass
 
 import mpmath
-from mpmath import mp
+from mpmath import iv, mp
 
 from .arith import is_squarefree
 from .brauer import BrauerClass, global_index
 from .genus import _embeds
 from .quadfield import (
-    QuadField, QuadUnit, _check_precision, _class_data, fundamental_unit,
-    unit_real_value,
+    QuadField, QuadUnit, _bracket, _check_precision, _class_data, fundamental_unit,
 )
 
 # Largest bound on d of the admissible set and the spectrum generators; at
 # 1024 bits (quadfield.MAX_PREC_BITS) the generators up to it take about 2 s
 MAX_SPECTRUM_BOUND = 10**4
-# extra bits at which each log eta is taken before its one rounding
-_GUARD_BITS = 64
 
 
 @dataclass(frozen=True)
@@ -73,10 +71,27 @@ class WeylQuery:
 
 
 def geodesic_length(g: HyperbolicGeodesic, precision: int = 128) -> mpmath.mpf:
-    """(2/winding) * log(eigenvalue), the hyperbolic length."""
-    value = unit_real_value(g.eigenvalue, precision + 16)
-    with mp.workprec(precision):
-        return 2 * mp.log(value) / g.winding
+    """(2/winding) * log(eigenvalue), the hyperbolic length, correctly rounded
+    to `precision` bits: interval arithmetic encloses it from the integer
+    bracket of the eigenvalue, which widens until both ends of the enclosure
+    round alike (Ziv, ACM TOMS 17, 1991).  The log of an algebraic number
+    other than 1 is transcendental, never a rounding boundary, so this ends.
+    The enclosure trusts mpmath's mpf_log to round in the direction asked.
+    """
+    _check_precision(precision)
+    bits = precision + 32  # the first width only sets the cost, not the result
+    while True:
+        n, k = _bracket(g.eigenvalue, bits)  # eigenvalue in (n, n + 1) * 2^-(k+1)
+        saved, iv.prec = iv.prec, bits
+        try:
+            length = 2 * iv.log(iv.mpf((n, n + 1)) / 2 ** (k + 1)) / g.winding
+        finally:
+            iv.prec = saved
+        with mp.workprec(precision):
+            lo, hi = +mp.convert(length.a), +mp.convert(length.b)
+        if lo == hi:
+            return lo
+        bits *= 2
 
 
 def _check_surface_algebra(algebra: BrauerClass) -> None:
@@ -101,17 +116,14 @@ def spectrum_generators(
     algebra: BrauerClass, bound: int, precision: int = 128
 ) -> list[SpectrumGenerator]:
     """One generator (d, log eta(d)) per admissible d up to the bound, where
-    log eta(d) = h(d) * length(eps(d)), rounded once from guard bits."""
+    log eta(d) = 2h * log eps(d) is the length of the geodesic of eps(d)^h,
+    correctly rounded by ``geodesic_length``."""
     _check_precision(precision)
     generators = []
     for d in admissible_set(algebra, bound):
         eps = fundamental_unit(QuadField._known_squarefree(d))  # admissible_set tested d
-        h = _class_data(eps).class_number
-        geodesic = HyperbolicGeodesic(eps)
-        with mp.workprec(precision + _GUARD_BITS):
-            log_eta = h * geodesic_length(geodesic, precision + _GUARD_BITS)
-        with mp.workprec(precision):
-            generators.append(SpectrumGenerator(d, +log_eta))
+        geodesic = HyperbolicGeodesic(eps ** _class_data(eps).class_number)
+        generators.append(SpectrumGenerator(d, geodesic_length(geodesic, precision)))
     return generators
 
 

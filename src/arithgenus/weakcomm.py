@@ -87,7 +87,7 @@ class QuadraticEigenvalues:
         fields = {u.field for u in self.units}
         if len(fields) != 1:
             raise ValueError("units must belong to a single field")
-        if any(u.y == 0 for u in self.units):
+        if any(u.Y == 0 for u in self.units):
             raise ValueError("units must have infinite order")
 
 

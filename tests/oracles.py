@@ -470,6 +470,44 @@ def genus_size_by_enumeration(orders: list[int]) -> int:
     return sum(1 for combo in product(*choices) if sum(combo) % L == 0)
 
 
+def _mobius_and_totient(n: int) -> tuple[int, int]:
+    # by trial division; n is a small local order
+    mu, phi, p = 1, n, 2
+    while n > 1:
+        if p * p > n:
+            p = n
+        if n % p == 0:
+            n //= p
+            mu, phi = -mu, phi // p * (p - 1)
+            if n % p == 0:
+                mu = 0
+                while n % p == 0:
+                    n //= p
+        p += 1
+    return mu, phi
+
+
+def _ramanujan_sum(r: int, k: int) -> int:
+    """c_r(k), the sum of exp(2 pi i j k / r) over the j mod r prime to r,
+    by Hoelder's formula mu(m) * phi(r) / phi(m) with m = r / gcd(r, k)."""
+    from math import gcd
+
+    mu_m, phi_m = _mobius_and_totient(r // gcd(r, k))
+    return mu_m * _mobius_and_totient(r)[1] // phi_m
+
+
+def genus_size_by_ramanujan_sums(orders: list[int]) -> int:
+    """The count of ``genus_size_by_enumeration`` in closed form: with
+    L = lcm of the orders, (1/L) * sum over k mod L of prod_v c_{r_v}(k), as
+    the characters of Z/L sum the indicator of a zero sum."""
+    from math import lcm, prod
+
+    modulus = lcm(*orders)
+    total = sum(prod(_ramanujan_sum(r, k) for r in orders) for k in range(modulus))
+    assert total % modulus == 0
+    return total // modulus
+
+
 # ---------------------------------------------------------------------------
 # Closed forms of qforms and genus, recomputed by their former searches
 

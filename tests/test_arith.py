@@ -370,6 +370,41 @@ class TestLocalSymbolProperties:
             assert hilbert_symbol(a, 1 - a, v) == 1
 
 
+PSI_12 = 318665857834031151167461  # 399165290221 * 798330580441
+PSI_13 = 3317044064679887385961981
+
+
+class TestProvenPrimality:
+    def test_twelve_base_pseudoprime_is_composite(self):
+        assert 399165290221 * 798330580441 == PSI_12
+        assert not is_prime(PSI_12)
+
+    def test_unproven_probable_prime_is_refused(self):
+        # psi_13 is composite, yet it passes all thirteen bases
+        with pytest.raises(ValueError, match=f"cannot prove {PSI_13} prime"):
+            is_prime(PSI_13)
+        with pytest.raises(ValueError, match="cannot prove"):
+            Place(2**89 - 1)  # a Mersenne prime, above the proven range
+        with pytest.raises(ValueError, match="cannot prove"):
+            factor(3 * (2**89 - 1))
+
+    def test_composite_above_the_proven_range_is_refuted(self):
+        p, q = 1125899906842597, 1125899906842679  # primes near 2**50
+        assert not is_prime(p * q)
+        assert not is_prime(PSI_13 + 2)  # 3 | psi_13 + 2
+
+    def test_size_cap(self):
+        bits = arith.MAX_INTEGER_BITS
+        assert factor(2 ** (bits - 1)).factors == ((2, bits - 1),)
+        assert not is_prime(2**bits - 1)
+        message = f"integer of {bits + 1} bits exceeds the supported bound {bits} bits"
+        for call in (lambda: factor(2**bits), lambda: is_prime(2**bits + 1),
+                     lambda: squarefree_part(-(2**bits)), lambda: Place(2**bits + 1),
+                     lambda: factor(Fraction(1, 2**bits))):
+            with pytest.raises(ValueError, match=message):
+                call()
+
+
 class TestAgainstSympy:
     STRONG_PSEUDOPRIMES = (3215031751, 2152302898747, 3474749660383, 341550071728321,
                            3825123056546413051)
@@ -385,6 +420,19 @@ class TestAgainstSympy:
         for n in cases:
             assert is_prime(n) == sympy.isprime(n), n
         assert not any(is_prime(n) for n in self.STRONG_PSEUDOPRIMES)
+
+    def test_is_prime_matches_isprime_up_to_psi13(self):
+        # above 2**64, where twelve bases stop short of psi_13
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(RNG_SEED + 9)
+        cases = [rng.randrange(2**64, PSI_13) for _ in range(1000)]
+        cases += [sympy.nextprime(rng.randrange(2**64, PSI_13 - 10**6)) for _ in range(200)]
+        cases += [sympy.nextprime(rng.getrandbits(40) | 2**39)
+                  * sympy.nextprime(rng.getrandbits(41) | 2**40) for _ in range(300)]
+        cases += [PSI_12, PSI_13 - 2]
+        for n in cases:
+            assert n < PSI_13
+            assert is_prime(n) == sympy.isprime(n), n
 
     def test_factor_matches_factorint(self):
         sympy = pytest.importorskip("sympy")

@@ -226,6 +226,21 @@ class TestMainAndExitCodes:
         assert rebuilt == fundamental_unit(13)
 
 
+class TestProvenPrimality:
+    PSI_12 = "318665857834031151167461"  # 399165290221 * 798330580441
+
+    def test_twelve_base_pseudoprime_is_not_a_place(self, capsys):
+        assert run_main(["hilbert", "2", "3", self.PSI_12], capsys) == (
+            2, "", f'{{"ok":false,"error":"usage: {self.PSI_12} is not prime, '
+                   'so not a finite place"}\n')
+
+    def test_twelve_base_pseudoprime_is_factored(self, capsys):
+        code, out, _ = run_main(["weakcomm", f"--set1={self.PSI_12}",
+                                 "--set2=399165290221,798330580441"], capsys)
+        assert code == 0
+        assert json.loads(out)["result"]["weakly_commensurable"] is True
+
+
 class TestBatch:
     def test_stream_survives_bad_lines(self, capsys, monkeypatch):
         lines = "\n".join(
@@ -314,6 +329,23 @@ class TestBatch:
             {"ok": True, "result": -1},
         ]
         assert elapsed < 20
+
+    def test_thousand_digit_integers_fail_fast(self, capsys, monkeypatch):
+        # before the size cap, factoring one ran for about half a minute
+        big = str(10**999 + 7)
+        hilbert = json.dumps({"argv": ["hilbert", "-1", "3", "3"]})
+        lines = [json.dumps({"argv": ["brauer", f"--quaternion=-1,{big}"]}), hilbert,
+                 json.dumps({"argv": ["hilbert", "2", "3", big]}), hilbert]
+        monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(lines)))
+        start = time.perf_counter()
+        code, out, _ = run_main(["--batch"], capsys)
+        assert time.perf_counter() - start < 2
+        assert code == 0
+        cap = "integer of 3319 bits exceeds the supported bound 256 bits"
+        assert [json.loads(line) for line in out.splitlines()] == [
+            {"ok": False, "error": cap}, {"ok": True, "result": -1},
+            {"ok": False, "error": f"usage: {cap}"}, {"ok": True, "result": -1},
+        ]
 
     def test_spectrum_and_precision_limits_fail_cleanly(self):
         # without the limits, the bound alone would run for hours

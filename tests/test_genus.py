@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -202,6 +203,19 @@ class TestGenusEnumerate:
             orders = [cls.local_index(v) for v in cls.support]
             assert genus_enumerate(cls).size == oracles.genus_size_by_enumeration(orders)
 
+    @given(st.lists(st.integers(2, 12), min_size=1, max_size=5), st.data())
+    def test_size_matches_ramanujan_sum_count(self, orders, data):
+        # invariants of exact orders r_v at the first places; a last place
+        # closes the zero sum with whatever order that leaves
+        invariants = {Place(p): Fraction(data.draw(st.sampled_from(
+            [k for k in range(1, r) if math.gcd(k, r) == 1])), r) for p, r in zip(PRIMES, orders)}
+        last = -sum(invariants.values()) % 1
+        assume(last != 0)
+        invariants[Place(PRIMES[len(orders)])] = last
+        cls = class_from_invariants(invariants)
+        local = [cls.local_index(v) for v in cls.support]
+        assert genus_enumerate(cls).size == oracles.genus_size_by_ramanujan_sums(local)
+
     def test_members_match_search_oracle(self):
         rng = random.Random(RNG_SEED + 2)
         for _ in range(60):
@@ -320,6 +334,15 @@ class TestEpsilonFamily:
             for m1, m2 in itertools.combinations(members, 2):
                 assert same_maximal_subfields(m1, m2)
 
+    def test_family_size_closed_form(self):
+        # n signs e_i = +-1 with sum 0 mod 3: (2^n + 2(-1)^n)/3 of them
+        primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+        for n in range(2, 13):
+            size = epsilon_family(primes[:n]).size
+            assert size == (2**n + 2 * (-1) ** n) // 3
+            assert size == oracles.genus_size_by_ramanujan_sums([3] * n)
+        assert size == 1366
+
     def test_family_size_growth(self):
         sizes = [epsilon_family((2, 3, 5, 7, 11, 13)[:r]).size for r in range(2, 7)]
         assert sizes == sorted(sizes)
@@ -357,6 +380,10 @@ class TestEpsilonFamily:
             epsilon_family((2, 2))
         with pytest.raises(ValueError):
             epsilon_family((2, 9))
+
+    def test_unprovable_prime_is_refused_not_called_composite(self):
+        with pytest.raises(ValueError, match=f"cannot prove {2**89 - 1} prime"):
+            epsilon_family((2, 2**89 - 1))
 
     def test_each_prime_checked_once(self, monkeypatch):
         from arithgenus import arith

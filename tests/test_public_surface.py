@@ -1,8 +1,8 @@
 """Every name that ``arithgenus/__init__.py`` exports is used by another
 module of the package or wrapped by the benchmark tracer, and every private
-function or class is referenced somewhere in the package, so the package
-carries no code that only the tests call.  Test-only references live in
-``tests/oracles.py``."""
+function, class or module-level constant is referenced somewhere in the
+package, so the package carries no code that only the tests call.
+Test-only references live in ``tests/oracles.py``."""
 
 import ast
 from pathlib import Path
@@ -53,15 +53,25 @@ def _registered_verb(node):
                for d in node.decorator_list)
 
 
+def _module_assignments(tree):
+    # names bound by `NAME = ...` or `NAME: T = ...` at module level
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [
+            node.target] if isinstance(node, ast.AnnAssign) else []
+        yield from (t.id for t in targets if isinstance(t, ast.Name))
+
+
 def test_every_private_definition_is_referenced():
+    # private functions, classes and module-level constants alike
     used = names_used_by_package()
     unreferenced = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            name = node.name
-            private = name.startswith("_") and not name.endswith("__")
-            if private and name not in used and not _registered_verb(node):
-                unreferenced.append(f"{path.name}:{name}")
+        tree = ast.parse(path.read_text())
+        names = list(_module_assignments(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not _registered_verb(node):
+                    names.append(node.name)
+        unreferenced += [f"{path.name}:{name}" for name in names
+                         if name.startswith("_") and not name.endswith("__") and name not in used]
     assert unreferenced == []

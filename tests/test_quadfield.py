@@ -64,6 +64,19 @@ class TestQuadUnit:
         with pytest.raises(ValueError):
             QuadUnit.make(QuadField(5), Fraction(1, 2), Fraction(1))
 
+    def test_integer_coordinates(self):
+        eps = fundamental_unit(5)  # (1 + sqrt(5))/2
+        assert (eps.X, eps.Y, eps.norm) == (1, 1, -1)
+        assert (eps.x, eps.y) == (Fraction(1, 2), Fraction(1, 2))
+        assert str(eps) == "1/2 + 1/2*sqrt(5)"
+        assert (eps * eps).X == 3 and (eps**-1).X == -1
+        # X^2 - d*Y^2 = +-4 fixes the parities for squarefree d
+        for d, big_x, big_y, norm in ((5, 2, 1, -1), (13, 2, 1, -1), (2, 1, 1, -1), (3, 1, 1, -1)):
+            with pytest.raises(ValueError, match="norm does not match"):
+                QuadUnit(QuadField(d), big_x, big_y, norm)
+        with pytest.raises(ValueError, match="norm \\+1 or -1"):
+            QuadUnit(QuadField(3), 4, 0, 4)
+
     def test_non_unit_rejected(self):
         with pytest.raises(ValueError):
             QuadUnit.make(QuadField(2), 2, 1)
@@ -77,7 +90,7 @@ class TestQuadUnit:
                 j, k = rng.randint(-5, 5), rng.randint(-5, 5)
                 a, b = u**j, u**k
                 assert (a * b).norm == a.norm * b.norm
-                assert a * a.inverse() == QuadUnit(u.field, Fraction(1), Fraction(0), 1)
+                assert a * a.inverse() == QuadUnit.make(u.field, Fraction(1), Fraction(0))
 
     def test_large_power_splits(self):
         u = fundamental_unit(2)
@@ -121,11 +134,9 @@ def count_squarefree_everywhere(monkeypatch):
 
 class TestFundamentalUnit:
     def test_frozen_small_cases(self):
-        assert fundamental_unit(2) == QuadUnit(QuadField(2), Fraction(1), Fraction(1), -1)
-        assert fundamental_unit(5) == QuadUnit(
-            QuadField(5), Fraction(1, 2), Fraction(1, 2), -1
-        )
-        assert fundamental_unit(3) == QuadUnit(QuadField(3), Fraction(2), Fraction(1), 1)
+        assert fundamental_unit(2) == QuadUnit.make(QuadField(2), Fraction(1), Fraction(1))
+        assert fundamental_unit(5) == QuadUnit.make(QuadField(5), Fraction(1, 2), Fraction(1, 2))
+        assert fundamental_unit(3) == QuadUnit.make(QuadField(3), Fraction(2), Fraction(1))
 
     def test_against_pell_search(self):
         for d in SQUAREFREE_SMALL:
@@ -211,11 +222,9 @@ class TestFundamentalUnit:
 
 class TestNormOneUnit:
     def test_examples(self):
-        assert norm_one_unit(2) == QuadUnit(QuadField(2), Fraction(3), Fraction(2), 1)
+        assert norm_one_unit(2) == QuadUnit.make(QuadField(2), Fraction(3), Fraction(2))
         assert norm_one_unit(3) == fundamental_unit(3)
-        assert norm_one_unit(5) == QuadUnit(
-            QuadField(5), Fraction(3, 2), Fraction(1, 2), 1
-        )
+        assert norm_one_unit(5) == QuadUnit.make(QuadField(5), Fraction(3, 2), Fraction(1, 2))
 
     def test_always_norm_one_and_small(self):
         for d in SQUAREFREE_SMALL:
@@ -362,7 +371,7 @@ class TestUnitRealValue:
     def test_values(self):
         assert abs(unit_real_value(fundamental_unit(2), 64) - (1 + 2**0.5)) < 1e-12
         assert abs(unit_real_value(fundamental_unit(5), 64) - (1 + 5**0.5) / 2) < 1e-12
-        one = QuadUnit(QuadField(7), Fraction(1), Fraction(0), 1)
+        one = QuadUnit.make(QuadField(7), Fraction(1), Fraction(0))
         assert unit_real_value(one, 64) == 1
 
     # (d, bits) where eps(d)^(2h) once came out one ulp off, rounded from
@@ -386,7 +395,7 @@ class TestUnitRealValue:
     def test_correctly_rounded(self, d, k, sign, precision):
         u = fundamental_unit(d) ** k
         if sign < 0:
-            u = QuadUnit(u.field, -u.x, -u.y, u.norm)
+            u = QuadUnit(u.field, -u.X, -u.Y, u.norm)
         assert unit_real_value(u, precision) == self.rounded_reference(u, precision)
 
     @pytest.mark.parametrize("d,precision", NEAR_MIDPOINT)
@@ -400,3 +409,5 @@ class TestUnitRealValue:
     def test_precision_below_64_rejected(self):
         with pytest.raises(ValueError, match="at least 64 bits"):
             unit_real_value(fundamental_unit(2), 63)
+        with pytest.raises(ValueError, match="exceeds the supported bound 1024"):
+            unit_real_value(fundamental_unit(2), quadfield.MAX_PREC_BITS + 1)

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 import oracles
@@ -17,7 +19,9 @@ from arithgenus.brauer import (
     parse_class,
 )
 from arithgenus.genus import embeds_quadratic
-from arithgenus.quadfield import QuadField, QuadUnit, fundamental_unit, norm_one_unit
+from arithgenus.quadfield import (
+    QuadField, QuadUnit, class_number, fundamental_unit, norm_one_unit,
+)
 from arithgenus.spectrum import (
     HyperbolicGeodesic,
     WeylQuery,
@@ -74,15 +78,83 @@ class TestGeodesicLength:
             with mp.workprec(120):
                 assert abs(powered - k * base) < mp.mpf(2) ** -100
 
+    def test_precision_bounds(self):
+        g = HyperbolicGeodesic(norm_one_unit(2))
+        for precision in (-5, 0, 63):
+            with pytest.raises(ValueError, match="at least 64 bits"):
+                geodesic_length(g, precision)
+        with pytest.raises(ValueError, match="exceeds the supported bound 1024"):
+            geodesic_length(g, quadfield.MAX_PREC_BITS + 1)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             HyperbolicGeodesic(norm_one_unit(2), 0)
-        one = QuadUnit(QuadField(2), Fraction(1), Fraction(0), 1)
+        one = QuadUnit.make(QuadField(2), Fraction(1), Fraction(0))
         with pytest.raises(ValueError):
             HyperbolicGeodesic(one, 1)
         small = fundamental_unit(2).inverse()  # sqrt(2) - 1 < 1
         with pytest.raises(ValueError):
             HyperbolicGeodesic(small, 1)
+
+
+def rounded_log(u, scale, precision):
+    """scale * log u for a unit u > 1 at 4000 bits, then one rounding to
+    `precision` bits; X and Y are positive, so no cancellation."""
+    with mp.workprec(4000):
+        value = scale * mp.log((u.X + u.Y * mp.sqrt(u.field.d)) / 2)
+    with mp.workprec(precision):
+        return +value
+
+
+SURFACE_CLASSES = ("2:1/2,3:1/2", "2:1/2,5:1/2", "3:1/2,7:1/2", "2:1/2,3:1/2,5:1/2,7:1/2",
+                   "5:1/2,13:1/2", "11:1/2,19:1/2")
+
+
+class TestCorrectRounding:
+    @given(st.integers(2, 10**6 - 1).filter(is_squarefree), st.integers(1, 3),
+           st.integers(1, 12), st.integers(64, 1024))
+    def test_geodesic_length(self, d, power, winding, precision):
+        u = fundamental_unit(d) ** power
+        with mp.workprec(4000):
+            scale = mp.mpf(2) / winding
+        want = rounded_log(u, scale, precision)
+        assert geodesic_length(HyperbolicGeodesic(u, winding), precision) == want
+
+    @settings(max_examples=25)
+    @given(st.sampled_from(SURFACE_CLASSES), st.integers(2, 200), st.integers(64, 1024))
+    def test_spectrum_generators(self, text, bound, precision):
+        for g in spectrum_generators(parse_class(text), bound, precision):
+            eps = fundamental_unit(g.d)
+            assert g.log_eta == rounded_log(eps, 2 * class_number(g.d).class_number, precision)
+
+    def test_generators_up_to_2500(self):
+        # 791 admissible d at four precisions: 3164 values
+        cls = parse_class("2:1/2,3:1/2")
+        precisions = (64, 128, 192, 384)
+        got = {p: spectrum_generators(cls, 2500, p) for p in precisions}
+        assert len(got[64]) == 791
+        for i, d in enumerate(admissible_set(cls, 2500)):
+            eps = fundamental_unit(d)
+            with mp.workprec(4000):
+                log_eta = 2 * class_number(d).class_number * mp.log(
+                    (eps.X + eps.Y * mp.sqrt(d)) / 2)
+            for p in precisions:
+                with mp.workprec(p):
+                    assert got[p][i].log_eta == +log_eta, (d, p)
+
+    def test_enclosure_widens_until_both_ends_round_alike(self, monkeypatch):
+        # a first bracket of 8 bits leaves ends that round apart at 96 bits
+        calls = []
+        original = spectrum._bracket
+
+        def coarse_first(u, bits):
+            calls.append(bits)
+            return original(u, 8 if len(calls) == 1 else bits)
+
+        monkeypatch.setattr(spectrum, "_bracket", coarse_first)
+        u = fundamental_unit(2)
+        assert geodesic_length(HyperbolicGeodesic(u), 96) == rounded_log(u, 2, 96)
+        assert calls == [128, 256]
 
 
 class TestAdmissible:
