@@ -9,6 +9,7 @@ above MAX_INTEGER_BITS are neither factored nor tested.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -33,6 +34,30 @@ _RHO_BUDGET = 2**20
 # at 96 bits, 1.4 s at 256 and 3.4 s at 512.  No prime above _MR_PROVEN_BOUND
 # (82 bits) is proven anyway.
 MAX_INTEGER_BITS = 256
+# Most digits a rational written as text may denote: CPython's default cap on
+# int() of a digit string, fixed here so that it does not follow the
+# environment.  Fraction builds 10**e for an exponent e arithmetically, past
+# that cap: "1e2000000" would take minutes to build and to take valuations of.
+MAX_LITERAL_DIGITS = 4300
+# The digits after the point and of the exponent, as Fraction reads them
+_SCALE = re.compile(r"(?:\.(\d+(?:_\d+)*))?(?:[eE][-+]?(\d+(?:_\d+)*))?\s*\Z")
+
+
+# ---------------------------------------------------------------------------
+# Rationals from text
+
+
+def parse_rational(text: str) -> Fraction:
+    """Fraction(text), refused before any power of 10 is built when it has
+    more than MAX_LITERAL_DIGITS digits after the point or an exponent of
+    MAX_LITERAL_DIGITS or more in absolute value."""
+    if "e" in text or "E" in text or "." in text:
+        fraction, exponent = _SCALE.search(text).groups(default="")
+        exponent = exponent.replace("_", "").lstrip("0")
+        if (len(fraction.replace("_", "")) > MAX_LITERAL_DIGITS or len(exponent) > 9
+                or int(exponent or 0) >= MAX_LITERAL_DIGITS):
+            raise ValueError(f"denotes more than {MAX_LITERAL_DIGITS} digits")
+    return Fraction(text)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping
 
-from .arith import Place, Rational, hilbert_symbol, support_places
+from .arith import Place, Rational, hilbert_symbol, parse_rational, support_places
 
 HALF = Fraction(1, 2)
 
@@ -147,6 +147,6 @@ def parse_class(text: str) -> BrauerClass:
         place_text, _, value_text = chunk.partition(":")
         if not value_text:
             raise ValueError(f"malformed invariant entry {chunk!r}")
-        entries.append((Place.parse(place_text), Fraction(value_text)))
+        entries.append((Place.parse(place_text), parse_rational(value_text)))
     # pairs in order, so that a repeated place is refused, not overwritten
     return class_from_invariants(entries)

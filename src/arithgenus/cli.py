@@ -7,7 +7,15 @@ of verbs and options in this file.  ``build`` turns the parsed namespace into
 ``Command.args`` and raises ``UsageError`` on bad input (so does a library
 ``ValueError``).  The handler gets ``Command.args`` as keyword arguments and
 returns the JSON-ready result; an ``args["prec"]`` is echoed in the report.
-The argparse tree is built once per process.
+
+Two parsers read the table.  A direct parser, built once per verb, accepts a
+line only where argparse surely builds the same namespace: exact option
+names as ``--name=value`` or ``--name value``, positionals (negative numbers
+included), ``store_true``, ``type``, ``dest`` and ``required``.  Every other
+line (an abbreviation, a repeated or unknown option, a separate value that
+starts with "-", help, a missing option, a failed type, an option kwarg it
+does not model) goes to the argparse tree, built once per process when first
+needed, which stays the only source of usage-error text.
 
 Exit codes: 0 on success, 1 on a domain error, 2 on a usage error.  The env
 var ARITHGENUS_PREC_BITS overrides the default working precision; display
@@ -24,15 +32,14 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable
 
-from mpmath import mp
-
 from . import brauer, genus, qforms, quadfield, spectrum, weakcomm
-from .arith import Place, hilbert_symbol
+from .arith import Place, hilbert_symbol, parse_rational
 
 DISPLAY_DIGITS = 50
 DEFAULT_PREC_BITS = 192
@@ -73,7 +80,7 @@ class Report:
 
 def _rational(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return parse_rational(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"malformed rational {text!r}: {exc}") from None
 
@@ -87,7 +94,7 @@ def _class(text: str) -> brauer.BrauerClass:
 
 def _form(text: str) -> qforms.QuadraticForm:
     try:
-        return qforms.QuadraticForm.of(*(Fraction(c) for c in text.split(",")))
+        return qforms.QuadraticForm.of(*(parse_rational(c) for c in text.split(",")))
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"malformed form {text!r}: {exc}") from None
 
@@ -173,6 +180,8 @@ def _prec_bits(flag_value: int | None) -> int:
 
 
 def _decimal(value) -> str:
+    from mpmath import mp  # imported where a real value is made, not at start-up
+
     return mp.nstr(value, DISPLAY_DIGITS)
 
 
@@ -408,9 +417,120 @@ def _parser() -> _Parser:
     return parser
 
 
-def parse(argv: list[str]) -> Command:
-    """Validate argv into a Command; raises UsageError on any bad input."""
-    ns = _parser().parse_args(argv)
+# ---------------------------------------------------------------------------
+# The direct parser.  It reads the same verb table as argparse and accepts a
+# line only where argparse surely builds the same namespace; it returns None
+# ("undecided") on anything else, and argparse then parses the line, so that
+# argparse stays the only source of usage-error text.
+
+# argparse's own test for a token that is a negative number, not an option
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+_MODELLED_KWARGS = {"type", "dest", "required", "action", "help"}
+
+
+@dataclass(frozen=True)
+class _DirectVerb:
+    positionals: tuple[str, ...]  # dests, in order
+    options: dict[str, tuple[str, bool]]  # flag: (dest, whether it takes a value)
+    types: dict[str, Callable[[str], Any]]  # dest: type
+    defaults: dict[str, Any]
+    required: frozenset[str]
+
+
+@functools.cache
+def _direct_verb(name: str) -> _DirectVerb | None:
+    """The verb's options as the direct parser reads them, or None when an
+    option uses anything it does not model (``choices``, ``nargs``,
+    ``default``, another action, a short flag...)."""
+    positionals, options, types, defaults, required = [], {}, {}, {}, set()
+    for flags, kwargs in _VERBS[name].options:
+        if not kwargs.keys() <= _MODELLED_KWARGS:
+            return None
+        if len(flags) == 1 and not flags[0].startswith("-"):
+            if kwargs.keys() - {"type", "help"}:
+                return None
+            dest = flags[0]
+            positionals.append(dest)
+        elif all(flag.startswith("--") and len(flag) > 2 and "=" not in flag for flag in flags):
+            dest = kwargs.get("dest") or flags[0][2:].replace("-", "_")
+            takes_value = "action" not in kwargs
+            if not takes_value and (kwargs["action"] != "store_true" or "type" in kwargs):
+                return None
+            options.update((flag, (dest, takes_value)) for flag in flags)
+            defaults[dest] = None if takes_value else False
+            if kwargs.get("required"):
+                required.add(dest)
+        else:
+            return None
+        if "type" in kwargs:
+            types[dest] = kwargs["type"]
+    return _DirectVerb(tuple(positionals), options, types, defaults, frozenset(required))
+
+
+def _parse_direct(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse builds from argv, or None where it might
+    differ: an abbreviation, a repeated or unknown option, a separate option
+    value that starts with "-", "-h", "--" (also as "--name=--"), a missing
+    required option, a wrong positional count or a failed type conversion."""
+    if argv == ["--batch"]:
+        return argparse.Namespace(batch=True, verb=None)
+    spec = _direct_verb(argv[0]) if argv and argv[0] in _VERBS else None
+    if spec is None:
+        return None
+    values: dict[str, Any] = {"batch": False, "verb": argv[0], **spec.defaults}
+    given: set[str] = set()
+    positional: list[str] = []
+    i, end = 1, len(argv)
+    while i < end:
+        token = argv[i]
+        i += 1
+        if not token.startswith("-") or _NEGATIVE_NUMBER.match(token):
+            positional.append(token)
+            continue
+        flag, eq, value = token.partition("=")
+        dest, takes_value = spec.options.get(flag, (None, False))
+        # unknown, abbreviated, repeated, a flag given a value, or "--name=--",
+        # which argparse reads as []
+        if dest is None or dest in given or eq and not takes_value or value == "--":
+            return None
+        given.add(dest)
+        if not takes_value:
+            values[dest] = True
+            continue
+        if not eq:
+            if i == end or argv[i].startswith("-"):
+                return None
+            value = argv[i]
+            i += 1
+        values[dest] = value
+    if len(positional) != len(spec.positionals) or not spec.required <= given:
+        return None
+    values.update(zip(spec.positionals, positional))
+    try:
+        for dest, convert in spec.types.items():
+            if values[dest] is not None:
+                values[dest] = convert(values[dest])
+    except (TypeError, ValueError):
+        return None
+    return argparse.Namespace(**values)
+
+
+def parse(argv: list[str], *, batch_line: bool = False) -> Command:
+    """Validate argv into a Command; raises UsageError on any bad input.  In
+    a batch line argparse may not print: its help is a usage error there."""
+    ns = _parse_direct(argv)
+    if ns is None:
+        try:
+            # argparse prints help to stdout and exits; stdout carries only
+            # replies in a batch
+            with contextlib.redirect_stdout(io.StringIO()) if batch_line else contextlib.nullcontext():
+                ns = _parser().parse_args(argv)
+        except SystemExit:
+            if not batch_line:
+                raise
+            raise UsageError("help is not available in --batch") from None
+        if any(isinstance(value, list) for value in vars(ns).values()):
+            raise UsageError("'--' is not an option value")  # argparse reads "--name=--" as []
     if ns.batch:
         return Command("batch", {})
     if ns.verb is None:
@@ -440,19 +560,14 @@ def _run_batch(stream, out) -> int:
             argv = obj["argv"]
             if not isinstance(argv, list) or not all(isinstance(x, str) for x in argv):
                 raise UsageError("'argv' must be a list of strings")
-            try:
-                # argparse prints help to stdout and exits; stdout carries
-                # only replies here
-                with contextlib.redirect_stdout(io.StringIO()):
-                    cmd = parse(argv)
-            except SystemExit:
-                raise UsageError("help is not available in --batch") from None
+            cmd = parse(argv, batch_line=True)
             if cmd.verb == "batch":
                 raise UsageError("--batch cannot be nested")
             report = execute(cmd)
         except UsageError as exc:
             report = Report(ok=False, error=f"usage: {exc}")
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (json.JSONDecodeError, KeyError, TypeError, RecursionError) as exc:
+            # RecursionError: JSON nested too deeply to decode
             report = Report(ok=False, error=f"bad batch line: {exc}")
         print(report.to_json(), file=out)
     return 0

@@ -15,11 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-
-import mpmath
-from mpmath import mp
+from typing import TYPE_CHECKING
 
 from .arith import is_squarefree
+
+if TYPE_CHECKING:  # mpmath is imported where a real value is made, not at start-up
+    import mpmath
 
 MAX_D = 10**6
 # Most bits of any real value of a unit: eta, geodesic lengths and the
@@ -156,12 +157,14 @@ def unit_real_value(u: QuadUnit, precision: int = 128) -> mpmath.mpf:
     ``_bracket`` puts it strictly inside (n, n + 1) * 2^-(k+1) with n of
     precision + 2 bits, so no rounding boundary lies there, and the midpoint
     (2n + 1) * 2^-(k+2) rounds like the value itself."""
+    from mpmath import mp
+    from mpmath.libmp import from_man_exp, round_nearest
+
     _check_precision(precision)
     if u.Y == 0:
-        return mpmath.mpf(u.X // 2)  # the units +-1
+        return mp.mpf(u.X // 2)  # the units +-1
     n, k = _bracket(u, precision + 2)
-    with mp.workprec(precision):
-        return mpmath.mpf((2 * n + 1, -k - 2))
+    return mp.make_mpf(from_man_exp(2 * n + 1, -k - 2, precision, round_nearest))
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import mpmath
-from mpmath import iv, mp
+from typing import TYPE_CHECKING
 
 from .arith import is_squarefree
 from .brauer import BrauerClass, global_index
@@ -24,6 +22,9 @@ from .genus import _embeds
 from .quadfield import (
     QuadField, QuadUnit, _bracket, _check_precision, _class_data, fundamental_unit,
 )
+
+if TYPE_CHECKING:  # mpmath is imported where a real value is made, not at start-up
+    import mpmath
 
 # Largest bound on d of the admissible set and the spectrum generators; at
 # 1024 bits (quadfield.MAX_PREC_BITS) the generators up to it take about 2 s
@@ -72,25 +73,29 @@ class WeylQuery:
 
 def geodesic_length(g: HyperbolicGeodesic, precision: int = 128) -> mpmath.mpf:
     """(2/winding) * log(eigenvalue), the hyperbolic length, correctly rounded
-    to `precision` bits: interval arithmetic encloses it from the integer
-    bracket of the eigenvalue, which widens until both ends of the enclosure
-    round alike (Ziv, ACM TOMS 17, 1991).  The log of an algebraic number
-    other than 1 is transcendental, never a rounding boundary, so this ends.
-    The enclosure trusts mpmath's mpf_log to round in the direction asked.
+    to `precision` bits: the logs of the ends of the integer bracket of the
+    eigenvalue, rounded down and up, enclose it, and each end of the
+    enclosure is rounded once to nearest; the bracket widens until both
+    round alike (Ziv, ACM TOMS 17, 1991).  Rounding is monotone, so the
+    common value is the rounded length.  The log of an algebraic number other
+    than 1 is transcendental, never a rounding boundary, so this ends.  The
+    enclosure trusts mpmath's mpf_log to round in the direction asked.
     """
+    from mpmath import mp
+    from mpmath.libmp import (
+        from_man_exp, mpf_div, mpf_log, round_ceiling, round_floor, round_nearest,
+    )
+
     _check_precision(precision)
+    half_winding = from_man_exp(g.winding, -1)  # (2/winding) * x = x / (winding/2)
     bits = precision + 32  # the first width only sets the cost, not the result
     while True:
         n, k = _bracket(g.eigenvalue, bits)  # eigenvalue in (n, n + 1) * 2^-(k+1)
-        saved, iv.prec = iv.prec, bits
-        try:
-            length = 2 * iv.log(iv.mpf((n, n + 1)) / 2 ** (k + 1)) / g.winding
-        finally:
-            iv.prec = saved
-        with mp.workprec(precision):
-            lo, hi = +mp.convert(length.a), +mp.convert(length.b)
+        lo, hi = (mpf_div(mpf_log(from_man_exp(end, -k - 1), bits, rounding), half_winding,
+                          precision, round_nearest)
+                  for end, rounding in ((n, round_floor), (n + 1, round_ceiling)))
         if lo == hi:
-            return lo
+            return mp.make_mpf(lo)
         bits *= 2
 
 

@@ -31,6 +31,28 @@ def nonzero_rational(rng, size=10**4):
     return Fraction(num, den)
 
 
+class TestParseRational:
+    @given(st.integers(-10**6, 10**6), st.integers(0, 30), st.integers(-4299, 4299),
+           st.sampled_from(["e", "E"]))
+    def test_inside_the_bound_it_is_fraction(self, mantissa, point, exponent, e):
+        digits = str(abs(mantissa)).rjust(point + 1, "0")
+        text = f"{'-' if mantissa < 0 else ''}{digits[:-point or None]}.{digits[-point:] if point else ''}"
+        for literal in (text, f"{text}{e}{exponent}", f" {mantissa}/{point + 1} "):
+            assert arith.parse_rational(literal) == Fraction(literal)
+
+    @pytest.mark.parametrize("text", ["1e4300", "-2.5E-4300", "1e+99999999", "0e5000",
+                                      "1." + "0" * 4301, "1_0e4_300", "1e5" + "0" * 5000])
+    def test_beyond_the_bound_it_refuses_before_building(self, text):
+        with pytest.raises(ValueError, match="^denotes more than 4300 digits$"):
+            arith.parse_rational(text)
+
+    @pytest.mark.parametrize("text", ["", "e", "1e", "1/0", "abc", "1e--99999", "1.5.5e3"])
+    def test_malformed_text_is_left_to_fraction(self, text):
+        with pytest.raises((ValueError, ZeroDivisionError)) as refusal:
+            arith.parse_rational(text)
+        assert "denotes" not in str(refusal.value)
+
+
 class TestPlace:
     def test_finite_place_requires_prime(self):
         with pytest.raises(ValueError):

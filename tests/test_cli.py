@@ -347,6 +347,65 @@ class TestBatch:
             {"ok": False, "error": f"usage: {cap}"}, {"ok": True, "result": -1},
         ]
 
+    def test_exponent_notation_fails_fast(self):
+        # Fraction("1e2000000") builds 10**2000000, and the valuation at 5
+        # then divides two million times: over 90 s before the bound
+        lines = [json.dumps({"argv": ["hilbert", "1e2000000", "3", "5"]}),
+                 json.dumps({"argv": ["hilbert", "2", "3", "inf"]})]
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "arithgenus.cli", "--batch"],
+                              input="\n".join(lines) + "\n", capture_output=True, text=True,
+                              timeout=60)
+        assert time.perf_counter() - start < 2
+        assert [json.loads(line) for line in proc.stdout.splitlines()] == [
+            {"ok": False,
+             "error": "usage: malformed rational '1e2000000': denotes more than 4300 digits"},
+            {"ok": True, "result": 1},
+        ]
+
+    @pytest.mark.parametrize("argv,error", [
+        (["hilbert", "1e5000", "3", "5"], "malformed rational '1e5000'"),
+        (["hilbert", "2", "1E-4300", "5"], "malformed rational '1E-4300'"),
+        (["hilbert", "0." + "1" * 4301, "3", "5"], "malformed rational '0.1111"),
+        (["brauer", "--quaternion=-1,1e9999"], "malformed rational '1e9999'"),
+        (["brauer", "--algebra=2:1e5000,3:1/2"], "malformed class '2:1e5000,3:1/2'"),
+        (["form", "--form=1e5000,1,-3"], "malformed form '1e5000,1,-3'"),
+        (["weakcomm", "--set1=1e5000", "--set2=2"], "malformed rational '1e5000'"),
+        (["triple", "--triple1=quat=-1,1e5000;K=Q;S=", "--triple2=form=1,1,-3;K=Q;S="],
+         "malformed rational '1e5000'"),
+    ])
+    def test_exponent_bound_at_every_rational_input(self, argv, error):
+        with pytest.raises(cli.UsageError, match=f"^{error}.*: denotes more than 4300 digits$"):
+            cli.parse(argv)
+
+    def test_exponent_just_inside_the_bound(self, capsys):
+        assert run_main(["hilbert", "1e4299", "3", "5"], capsys) == (0, '{"ok":true,"result":-1}\n', "")
+        assert run_main(["hilbert", "1e-4299", "3", "5"], capsys) == (0, '{"ok":true,"result":-1}\n', "")
+
+    def test_double_dash_value_then_good_line(self, capsys, monkeypatch):
+        # argparse reads "--algebra=--" as an empty list, which stopped the stream
+        lines = [json.dumps({"argv": ["genus", "--algebra=--"]}),
+                 json.dumps({"argv": ["hilbert", "-1", "3", "3"]})]
+        monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(lines)))
+        assert run_main(["--batch"], capsys) == (
+            0,
+            '{"ok":false,"error":"usage: \'--\' is not an option value"}\n{"ok":true,"result":-1}\n',
+            "",
+        )
+
+    def test_mpmath_is_imported_only_for_real_values(self):
+        script = (
+            "import io, json, sys\n"
+            "import arithgenus.cli as cli\n"
+            "def ask(argv):\n"
+            "    cli._run_batch(io.StringIO(json.dumps({'argv': argv})), io.StringIO())\n"
+            "    return 'mpmath' in sys.modules\n"
+            "print(ask(['hilbert', '2', '3', 'inf']), ask(['eta', '--d', '5']))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=60)
+        assert proc.stdout.split() == ["False", "True"], proc.stderr
+
     def test_spectrum_and_precision_limits_fail_cleanly(self):
         # without the limits, the bound alone would run for hours
         hilbert = json.dumps({"argv": ["hilbert", "-1", "3", "3"]})
