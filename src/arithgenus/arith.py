@@ -319,6 +319,34 @@ def kronecker_symbol(a: int, n: int) -> int:
     return result * _jacobi(a, n)
 
 
+def _sqrt_mod_prime(a: int, p: int) -> int | None:
+    """An x with x^2 = a mod the odd prime p, or None when a is not a square
+    mod p: a^((p+1)/4), checked, for p = 3 mod 4; otherwise Euler's
+    criterion, then Tonelli-Shanks.  The other root is -x."""
+    a %= p
+    if p % 4 == 3:
+        x = pow(a, (p + 1) // 4, p)
+        return x if x * x % p == a else None
+    if a and pow(a, (p - 1) // 2, p) != 1:
+        return None
+    q, s = p - 1, 0  # p - 1 = q * 2^s with q odd
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) == 1:  # a non-residue
+        z += 1
+    c, t, x = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t > 1:
+        # t has order 2^i < 2^s; c^(2^(s-i-1)) squared has order 2^i too
+        i, t2 = 1, t * t % p
+        while t2 != 1:
+            i, t2 = i + 1, t2 * t2 % p
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c = i, b * b % p
+        t, x = t * c % p, x * b % p
+    return x
+
+
 # ---------------------------------------------------------------------------
 # Local analysis
 

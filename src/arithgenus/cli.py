@@ -556,21 +556,28 @@ def _run_batch(stream, out) -> int:
         if not line:
             continue
         try:
-            obj = json.loads(line)
-            argv = obj["argv"]
-            if not isinstance(argv, list) or not all(isinstance(x, str) for x in argv):
-                raise UsageError("'argv' must be a list of strings")
-            cmd = parse(argv, batch_line=True)
-            if cmd.verb == "batch":
-                raise UsageError("--batch cannot be nested")
-            report = execute(cmd)
-        except UsageError as exc:
-            report = Report(ok=False, error=f"usage: {exc}")
+            argv = json.loads(line)["argv"]
         except (json.JSONDecodeError, KeyError, TypeError, RecursionError) as exc:
             # RecursionError: JSON nested too deeply to decode
             report = Report(ok=False, error=f"bad batch line: {exc}")
+        else:
+            report = _batch_reply(argv)
         print(report.to_json(), file=out)
     return 0
+
+
+def _batch_reply(argv) -> Report:
+    try:
+        if not isinstance(argv, list) or not all(isinstance(x, str) for x in argv):
+            raise UsageError("'argv' must be a list of strings")
+        cmd = parse(argv, batch_line=True)
+        if cmd.verb == "batch":
+            raise UsageError("--batch cannot be nested")
+        return execute(cmd)
+    except UsageError as exc:
+        return Report(ok=False, error=f"usage: {exc}")
+    except Exception as exc:  # a fault of the program, not of the line: the stream goes on
+        return Report(ok=False, error=f"internal error: {type(exc).__name__}: {exc}")
 
 
 def main(argv: list[str] | None = None) -> int:

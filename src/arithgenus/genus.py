@@ -98,7 +98,8 @@ def embeds_quadratic(d: int, algebra: BrauerClass) -> bool:
 
 
 def _embeds(d: int, algebra: BrauerClass) -> bool:
-    # embeds_quadratic for a d and a quaternion class already checked
+    # embeds_quadratic for a quaternion class already checked; exact for any
+    # nonzero d, which is read through its integer only
     return all(not is_local_square(d, v) for v in algebra.support)
 
 

@@ -2,7 +2,8 @@
 quadratic irrationals of the fundamental discriminant D: one continued
 fraction period of omega = (b + sqrt(D))/2 gives the fundamental unit, and
 the narrow class number counts the cycles of the reduced forms (a, b, c),
-whose |a| lies in one interval for each 0 < b < sqrt(D).  The analytic unit
+found in O(sqrt(D)) from each 0 < a <= sqrt(D)/2 and the square roots of D
+mod 4a, and walked through their forms with a > 0.  The analytic unit
 eta(d) = eps(d)^(2h) of the class-number formula follows from both.
 
 A unit is kept as the integers X = 2x, Y = 2y of x + y*sqrt(d); the unit and
@@ -17,7 +18,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import TYPE_CHECKING
 
-from .arith import is_squarefree
+from .arith import _sqrt_mod_prime, is_squarefree
 
 if TYPE_CHECKING:  # mpmath is imported where a real value is made, not at start-up
     import mpmath
@@ -239,31 +240,74 @@ class ClassData:
             raise ValueError("narrow class number must be h or 2h")
 
 
-def _reduced_forms(disc: int) -> set[tuple[int, int, int]]:
-    # (a, b, c) with b^2 - 4ac = disc and 0 < b < sqrt(disc) is reduced when
-    # sqrt(disc) - b < 2|a| < sqrt(disc) + b, i.e. lo <= |a| <= hi.  |a|, |c|
-    # run over divisor pairs a <= n/a of n = (disc - b^2)/4; n/a <= hi forces
-    # a >= n/hi > (sqrt(disc) - b)/2, so only a >= lo can meet [lo, hi]
+def _positive_reduced_forms(disc: int) -> set[tuple[int, int, int]]:
+    """The reduced forms (a, b, c) with a > 0 of the fundamental discriminant
+    disc: b^2 - 4ac = disc, 0 < b < sqrt(disc) and
+    sqrt(disc) - b < 2|a| < sqrt(disc) + b.  The rest are their (-a, b, -c).
+
+    c obeys the same bounds as a, and |a|*|c| = (disc - b^2)/4, so one of
+    |a|, |c| is below sqrt(disc)/2; (a, b, c) -> (-c, b, -a) keeps a form
+    reduced.  So every form is (a, b, -c) or (c, b, -a) for an a with
+    0 < 2a <= isqrt(disc), whose bounds leave sqrt(disc) - 2a < b < sqrt(disc):
+    one b in each class x mod 2a with x^2 = disc mod 4a, and
+    c = (disc - b^2)/(4a).  For a = 2^e * m with m odd, x comes by CRT from
+    the x mod 2^(e+1) with x^2 = disc mod 2^(e+2), each kept and lifted from
+    the last by x -> x, x + 2^e, and the roots mod m: Tonelli-Shanks mod
+    each prime p, lifted to p^k (an odd p | disc divides it once, so p^2 has
+    no root), and CRT over the primes.
+    """
     root = isqrt(disc)
+    top = root // 2
+    # smallest prime factor: the least divisor p > 1 with p^2 <= n, written last
+    spf = list(range(top + 1))
+    for p in range(isqrt(top), 1, -1):
+        spf[p * p::p] = [p] * ((top - p * p) // p + 1)
+    two_roots = [[disc % 2]]  # x mod 2^(e+1) with x^2 = disc mod 2^(e+2), 2^e <= top
+    while two_roots[-1] and 1 << len(two_roots) <= top:
+        power = 1 << len(two_roots)
+        two_roots.append([y for x in two_roots[-1] for y in (x, x + power)
+                          if (y * y - disc) % (power << 2) == 0])
+    odd_roots = {1: [0]}  # x mod m with x^2 = disc mod m, for odd m
     forms = set()
-    for b in range(root - (root - disc) % 2, 0, -2):
-        n = (disc - b * b) // 4
-        lo, hi = (root - b) // 2 + 1, (root + b) // 2
-        for a in range(lo, isqrt(n) + 1):
-            if n % a == 0:
-                for x in (a, n // a):
-                    if lo <= x <= hi:
-                        forms.update(((x, b, -n // x), (-x, b, n // x)))
+    for m in range(1, top + 1, 2):
+        if m > 1:
+            odd_roots[m] = _odd_roots(m, spf[m], odd_roots, disc)
+        ys = odd_roots[m]
+        if not ys:
+            continue
+        # a = 2^e * m: x = t mod 2^(e+1) and y mod m, with k = 2^-(e+1) mod m
+        half = k = (m + 1) // 2
+        for e, ts in enumerate(two_roots):
+            a = m << e
+            if a > top:
+                break
+            modulus, two_a, four_a = 2 << e, 2 * a, 4 * a
+            for t in ts:
+                for y in ys:
+                    b = root - (root - t - modulus * ((y - t) * k % m)) % two_a
+                    c = (disc - b * b) // four_a
+                    forms.update(((a, b, -c), (c, b, -a)))
+            k = k * half % m
     return forms
 
 
-def _rho(form: tuple[int, int, int], disc: int, root: int) -> tuple[int, int, int]:
-    # reduction step: (a,b,c) -> (c, r, (r^2-disc)/(4c)) where r = -b mod 2|c|
-    # is the largest residue below sqrt(disc), and root = isqrt(disc)
-    _, b, c = form
-    modulus = 2 * abs(c)
-    r = root - (root - (-b) % modulus) % modulus
-    return (c, r, (r * r - disc) // (4 * c))
+def _odd_roots(m: int, p: int, odd_roots: dict[int, list[int]], disc: int) -> list[int]:
+    # the roots mod the odd m > 1 with smallest prime factor p, from those
+    # mod smaller odd moduli
+    q = p
+    while m % (q * p) == 0:
+        q *= p
+    if q < m:
+        rest = m // q
+        if not odd_roots[q] or not odd_roots[rest]:
+            return []
+        k = pow(q, -1, rest)  # CRT
+        return [x + q * ((y - x) * k % rest) for x in odd_roots[q] for y in odd_roots[rest]]
+    if q > p:  # lift each root mod q/p to the p roots above it that remain
+        step = q // p
+        return [y for x in odd_roots[step] for y in range(x, q, step) if (y * y - disc) % q == 0]
+    x = _sqrt_mod_prime(disc, p)
+    return [] if x is None else [x, p - x] if x else [0]
 
 
 def class_number(d: int | QuadField) -> ClassData:
@@ -276,18 +320,32 @@ def class_number(d: int | QuadField) -> ClassData:
 def _class_data(eps: QuadUnit) -> ClassData:
     field = eps.field
     disc = field.fundamental_discriminant
-    remaining = _reduced_forms(disc)
+    remaining = _positive_reduced_forms(disc)
     root = isqrt(disc)
     cycles = 0
     while remaining:
         cycles += 1
-        # reduction permutes the reduced forms, so a walk from any unvisited
-        # form meets only unvisited ones until it is back at its start
-        start = current = remaining.pop()
-        while (current := _rho(current, disc, root)) != start:
-            if current not in remaining:
-                raise RuntimeError(f"reduction left the unvisited reduced forms at {current}")
-            remaining.remove(current)
+        # reduction permutes the reduced forms, and a reduced form has ac < 0,
+        # so each cycle alternates the sign of a and its forms with a > 0 are
+        # one cycle of two steps; a walk from any unvisited form meets only
+        # unvisited ones until it is back at its start
+        start = remaining.pop()
+        _, b, c = start
+        while True:
+            # (a, b, c) -> (c, b', (b'^2 - disc)/(4c)) with b' = -b mod 2|c|
+            # the largest such residue below sqrt(disc), first with c < 0
+            b = root - (root + b) % (-2 * c)
+            c = (b * b - disc) // (4 * c)
+            b = root - (root + b) % (2 * c)
+            a, c = c, (b * b - disc) // (4 * c)
+            current = (a, b, c)
+            if current == start:
+                break
+            try:
+                remaining.remove(current)
+            except KeyError:
+                raise RuntimeError(
+                    f"reduction left the unvisited reduced forms at {current}") from None
     if eps.norm == -1:
         h = cycles
     else:

@@ -114,7 +114,7 @@ def admissible_set(algebra: BrauerClass, bound: int) -> list[int]:
         raise ValueError("bound must be at least 2")
     if bound > MAX_SPECTRUM_BOUND:
         raise ValueError(f"bound {bound} exceeds the supported bound {MAX_SPECTRUM_BOUND}")
-    return [d for d in range(2, bound + 1) if is_squarefree(d) and _embeds(d, algebra)]
+    return [d for d in range(2, bound + 1) if _embeds(d, algebra) and is_squarefree(d)]
 
 
 def spectrum_generators(

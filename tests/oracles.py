@@ -127,6 +127,26 @@ def reduced_forms_by_divisor_pairs(disc: int) -> set[tuple[int, int, int]]:
     return forms
 
 
+def reduced_forms_by_intervals(disc: int) -> set[tuple[int, int, int]]:
+    """Reduced indefinite forms of discriminant disc, by one interval of |a|
+    for each b: the divisors of (disc - b^2)/4 that fall in it."""
+    # (a, b, c) with b^2 - 4ac = disc and 0 < b < sqrt(disc) is reduced when
+    # sqrt(disc) - b < 2|a| < sqrt(disc) + b, i.e. lo <= |a| <= hi.  |a|, |c|
+    # run over divisor pairs a <= n/a of n = (disc - b^2)/4; n/a <= hi forces
+    # a >= n/hi > (sqrt(disc) - b)/2, so only a >= lo can meet [lo, hi]
+    root = isqrt(disc)
+    forms = set()
+    for b in range(root - (root - disc) % 2, 0, -2):
+        n = (disc - b * b) // 4
+        lo, hi = (root - b) // 2 + 1, (root + b) // 2
+        for a in range(lo, isqrt(n) + 1):
+            if n % a == 0:
+                for x in (a, n // a):
+                    if lo <= x <= hi:
+                        forms.update(((x, b, -n // x), (-x, b, n // x)))
+    return forms
+
+
 # ---------------------------------------------------------------------------
 # Rational isotropic vectors in a box
 

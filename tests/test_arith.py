@@ -427,6 +427,34 @@ class TestProvenPrimality:
                 call()
 
 
+class TestSqrtModPrime:
+    def test_every_odd_prime_below_2_11_by_brute_force(self):
+        for p in range(3, 2**11, 2):
+            if not is_prime(p):
+                continue
+            roots = {}
+            for x in range(p):
+                roots.setdefault(x * x % p, set()).add(x)
+            for a in range(p):
+                x = arith._sqrt_mod_prime(a + p * (a % 3 - 1), p)  # a, a - p or a + p
+                assert (x is None) == (a not in roots), (a, p)
+                assert x is None or x in roots[a], (a, p)
+
+    def test_matches_sympy_sqrt_mod(self):
+        ntheory = pytest.importorskip("sympy.ntheory")
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(RNG_SEED + 10)
+        # primes with a long run of 2s in p - 1, where Tonelli-Shanks loops longest
+        primes = [998244353, 2**64 - 2**32 + 1, 3 * 2**30 + 1, 2**61 - 1]
+        primes += [sympy.nextprime(rng.getrandbits(rng.randint(3, 80))) for _ in range(60)]
+        for p in primes:
+            for _ in range(20):
+                a = rng.randrange(p)
+                expected = set(ntheory.sqrt_mod(a, p, all_roots=True))
+                x = arith._sqrt_mod_prime(a, p)
+                assert (x is None) == (not expected) and (x is None or x in expected), (a, p)
+
+
 class TestAgainstSympy:
     STRONG_PSEUDOPRIMES = (3215031751, 2152302898747, 3474749660383, 341550071728321,
                            3825123056546413051)

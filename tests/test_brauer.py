@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from arithgenus.arith import Place, REAL_PLACE
 from arithgenus.brauer import (
@@ -28,6 +30,19 @@ def random_class(rng, places=(2, 3, 5, 7), max_order=6):
     closing = -total
     closer = Place(max(set(places) - set(chosen)))
     entries[closer] = closing
+    return class_from_invariants(entries)
+
+
+@st.composite
+def brauer_classes(draw):
+    """A class over up to four of 2..13 and maybe the real place, closed by
+    its entry at 17."""
+    primes = draw(st.lists(st.sampled_from((2, 3, 5, 7, 11, 13)), unique=True, max_size=4))
+    entries = {Place(p): Fraction(draw(st.integers(0, 12)), draw(st.integers(1, 12)))
+               for p in primes}
+    if draw(st.booleans()):
+        entries[REAL_PLACE] = Fraction(1, 2)
+    entries[Place(17)] = -sum(entries.values(), Fraction(0))
     return class_from_invariants(entries)
 
 
@@ -132,6 +147,38 @@ class TestGroupLaw:
             assert class_neg(class_neg(c1)) == c1
             assert c1 + c2 == class_add(c1, c2)
             assert -c1 == class_neg(c1)
+
+
+class TestGroupLawProperties:
+    @given(brauer_classes(), brauer_classes(), brauer_classes())
+    def test_addition_is_associative_and_commutative(self, c1, c2, c3):
+        assert class_add(c1, c2) == class_add(c2, c1)
+        assert class_add(class_add(c1, c2), c3) == class_add(c1, class_add(c2, c3))
+
+    @given(brauer_classes())
+    def test_identity_and_inverse(self, c):
+        assert class_add(c, BrauerClass()) == class_add(BrauerClass(), c) == c
+        assert class_add(c, class_neg(c)).is_trivial()
+        assert class_neg(class_neg(c)) == c
+        assert index_profile(class_neg(c)) == index_profile(c)
+
+    @given(brauer_classes(), brauer_classes())
+    def test_index_profile_of_a_sum(self, c1, c2):
+        from math import lcm
+
+        local, index = index_profile(class_add(c1, c2))
+        places = set(c1.support) | set(c2.support)
+        expected = {v: ((c1.invariant_at(v) + c2.invariant_at(v)) % 1).denominator for v in places}
+        assert local == {v: order for v, order in expected.items() if order > 1}
+        assert index == lcm(1, *local.values())
+        assert lcm(global_index(c1), global_index(c2)) % index == 0
+        for v, order in local.items():
+            assert lcm(c1.local_index(v), c2.local_index(v)) % order == 0
+
+    @given(brauer_classes())
+    def test_text_round_trip(self, c):
+        assert parse_class(str(c)) == c
+        assert str(parse_class(str(c))) == str(c) == format_class(c)
 
 
 class TestIndexProfile:

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import subprocess
@@ -258,6 +259,27 @@ class TestBatch:
         reports = [json.loads(line) for line in out.strip().splitlines()]
         assert [r["ok"] for r in reports] == [True, False, False, True, False]
         assert reports[3]["result"] == {"d": 10, "h": 2, "narrow": 2}
+
+    def test_internal_error_is_not_a_bad_line(self, capsys, monkeypatch):
+        # an unexpected exception from a builder is the program's fault: it is
+        # answered as such, and the next line is still answered
+        def broken(ns):
+            raise KeyError("missing")
+
+        monkeypatch.setitem(cli._VERBS, "classnum",
+                            dataclasses.replace(cli._VERBS["classnum"], build=broken))
+        lines = [json.dumps({"argv": ["classnum", "--d", "10"]}),
+                 json.dumps({"argv": ["hilbert", "-1", "3", "3"]}),
+                 "[1]",
+                 json.dumps({"args": ["hilbert", "-1", "3", "3"]})]
+        out = io.StringIO()
+        assert cli._run_batch(io.StringIO("\n".join(lines)), out) == 0
+        assert out.getvalue().splitlines() == [
+            '{"ok":false,"error":"internal error: KeyError: \'missing\'"}',
+            '{"ok":true,"result":-1}',
+            '{"ok":false,"error":"bad batch line: list indices must be integers or slices, not str"}',
+            '{"ok":false,"error":"bad batch line: \'argv\'"}',
+        ]
 
     def test_output_order_matches_input(self, capsys, monkeypatch):
         lines = "\n".join(

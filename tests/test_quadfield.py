@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from mpmath import mp
 
@@ -235,6 +235,10 @@ class TestNormOneUnit:
 
 
 class TestClassNumber:
+    # d with many small primes, one per class of the discriminant: D = d with
+    # D = 1 and 5 mod 8, and D = 4d with d = 3 and 2 mod 4
+    MANY_SMALL_PRIMES = (969969, 937365, 255255, 690690)
+
     @pytest.mark.parametrize(
         "d,h,narrow",
         [
@@ -266,9 +270,34 @@ class TestClassNumber:
                 assert data.narrow_class_number == 2 * data.class_number
 
     def test_reduced_forms_match_divisor_pair_oracle(self):
-        for d in SQUAREFREE_BELOW_3000 + squarefree_sample(RNG_SEED + 2, 20):
+        # also the largest squarefree d <= MAX_D in each class mod 8
+        near = [max(d for d in range(quadfield.MAX_D - 80, quadfield.MAX_D + 1)
+                    if d % 8 == r and is_squarefree(d)) for r in (1, 2, 3, 5, 6, 7)]
+        for d in (SQUAREFREE_BELOW_3000 + squarefree_sample(RNG_SEED + 2, 20) + near
+                  + list(self.MANY_SMALL_PRIMES)):
             disc = QuadField(d).fundamental_discriminant
-            assert quadfield._reduced_forms(disc) == oracles.reduced_forms_by_divisor_pairs(disc), d
+            forms = oracles.reduced_forms_by_divisor_pairs(disc)
+            assert quadfield._positive_reduced_forms(disc) == {f for f in forms if f[0] > 0}, d
+            assert {(-a, b, -c) for a, b, c in forms} == forms, d
+
+    @given(st.sampled_from((1, 5, 3, 7, 2, 6)), st.integers(0, quadfield.MAX_D // 8))
+    @example(1, 969969 // 8)
+    @example(5, 937365 // 8)
+    @example(7, 255255 // 8)
+    @example(2, 690690 // 8)
+    def test_reduced_forms_match_interval_oracle(self, residue, k):
+        d = 8 * k + residue
+        assume(1 < d <= quadfield.MAX_D and is_squarefree(d))
+        disc = QuadField(d).fundamental_discriminant
+        forms = oracles.reduced_forms_by_intervals(disc)
+        assert quadfield._positive_reduced_forms(disc) == {f for f in forms if f[0] > 0}
+
+    def test_walk_outside_the_reduced_forms_raises(self, monkeypatch):
+        # a form missing from the set is met by the walk of its cycle
+        forms = quadfield._positive_reduced_forms(QuadField(79).fundamental_discriminant)
+        monkeypatch.setattr(quadfield, "_positive_reduced_forms", lambda disc: set(sorted(forms)[1:]))
+        with pytest.raises(RuntimeError, match="reduction left the unvisited reduced forms at"):
+            class_number(79)
 
     def test_class_data_validation(self):
         with pytest.raises(ValueError):
