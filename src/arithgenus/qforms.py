@@ -1,10 +1,11 @@
 """Quadratic forms over Q and the group data built on them.
 
-Local and global isotropy, Witt indices and equivalence are decided from the
-classifying invariants (dimension, discriminant square class, Hasse symbols,
-signature).  On top of the forms sit the odd-orthogonal/symplectic group
-data, the twins test, and the commensurability verdict for arithmetic
-triples (group datum, base-field tag, finite place set).
+Isotropy, Witt indices, equivalence and similarity are decided from the
+classifying invariants (dimension, discriminant, Hasse symbols, signature),
+read from the square class of each coefficient: a form is refused only when
+a coefficient is too large or cannot be factored.  On top of the forms sit
+the odd-orthogonal/symplectic group data, the twins test, and the
+commensurability verdict for arithmetic triples (group, field tag, places).
 """
 
 from __future__ import annotations
@@ -16,12 +17,13 @@ from math import gcd, prod
 from typing import Union
 
 from .arith import (
+    REAL_PLACE,
     Place,
     Rational,
+    factor,
     hilbert_symbol,
     is_local_square,
     is_prime,
-    squarefree_part,
     support_places,
 )
 from .brauer import BrauerClass, global_index
@@ -70,40 +72,27 @@ class LocalInvariants:
     def __post_init__(self):
         if self.signature[0] + self.signature[1] != self.dim:
             raise ValueError("signature must sum to the dimension")
-        if squarefree_part(self.disc) != self.disc:
-            raise ValueError("disc must be squarefree")
 
     def hasse_at(self, v: Place) -> int:
         return -1 if v in self.hasse_minus else 1
 
 
-def _disc_class(coeffs: tuple[Fraction, ...]) -> int:
-    # the product's square class, num * den of the reduced product
-    num, den = prod(a.numerator for a in coeffs), prod(a.denominator for a in coeffs)
-    common = gcd(num, den)
-    return squarefree_part(num * den // (common * common))
-
-
-def _relevant_places(f: QuadraticForm) -> list[Place]:
-    return support_places(*f.coeffs)
-
-
 def form_invariants(f: QuadraticForm) -> LocalInvariants:
     """Discriminant square class, Hasse invariants (nontrivial places only)
-    and the real signature."""
-    minus = []
-    for v in _relevant_places(f):
-        h = 1
-        for i in range(f.dim):
-            for j in range(i + 1, f.dim):
-                h *= hilbert_symbol(f.coeffs[i], f.coeffs[j], v)
-        if h == -1:
-            minus.append(v)
-    minus.sort(key=Place.sort_key)
+    and the real signature, from one factorization of each coefficient: its
+    sign and primes of odd exponent are its square class.  Off 2, the real
+    place and those primes the Hasse invariant is +1; at each other place v
+    it is the product of the n - 1 symbols (a_1...a_{j-1}, a_j)_v."""
+    odd = [[p for p, e in factor(a).factors if e % 2] for a in f.coeffs]
+    classes = [(1 if a > 0 else -1) * prod(ps) for a, ps in zip(f.coeffs, odd)]
+    pairs, disc = [], classes[0]
+    for s in classes[1:]:
+        pairs.append((disc, s))
+        disc = disc * s // gcd(disc, s) ** 2  # squarefree, as disc and s are
+    places = [Place(p) for p in sorted({2}.union(*odd))] + [REAL_PLACE]
+    minus = tuple(v for v in places if prod(hilbert_symbol(d, s, v) for d, s in pairs) == -1)
     positives = sum(1 for a in f.coeffs if a > 0)
-    return LocalInvariants(
-        f.dim, _disc_class(f.coeffs), tuple(minus), (positives, f.dim - positives)
-    )
+    return LocalInvariants(f.dim, disc, minus, (positives, f.dim - positives))
 
 
 def _tuple_isotropic_local(n: int, disc: int, hasse: int, v: Place) -> bool:
@@ -136,7 +125,7 @@ def _witt_index(inv: LocalInvariants, v: Place) -> int:
     index = 0
     while n > 0 and _tuple_isotropic_local(n, disc, hasse, v):
         hasse *= hilbert_symbol(-1, -disc, v)
-        disc = -disc  # LocalInvariants keeps disc squarefree
+        disc = -disc  # form_invariants keeps disc squarefree
         n -= 2
         index += 1
     return index
@@ -154,7 +143,7 @@ def witt_index_global(f: QuadraticForm) -> int:
     it is a non-square at the real place, at 2 or at one of its odd primes,
     all of which are relevant."""
     inv = form_invariants(f)
-    return min(_witt_index(inv, v) for v in _relevant_places(f))
+    return min(_witt_index(inv, v) for v in support_places(*f.coeffs))
 
 
 def forms_equivalent(f: QuadraticForm, g: QuadraticForm) -> bool:
@@ -164,11 +153,17 @@ def forms_equivalent(f: QuadraticForm, g: QuadraticForm) -> bool:
 
 
 def _forms_similar(f: QuadraticForm, g: QuadraticForm) -> bool:
-    # callers pass forms of equal odd dimension n; then disc(lam*f) =
-    # lam^n * disc(f) = lam * disc(f) mod squares, so disc(f)*disc(g) is the
-    # only similarity factor up to squares (Lam, Introduction to Quadratic
-    # Forms over Fields)
-    return forms_equivalent(f.scaled(_disc_class(f.coeffs) * _disc_class(g.coeffs)), g)
+    # for equal odd dimension n, disc(lam*f) = lam*disc(f) mod squares, so
+    # lam = disc(f)*disc(g) is the one factor to try (Lam, Introduction to
+    # Quadratic Forms over Fields), and bimultiplicativity gives c(lam*f) =
+    # c(f) * (lam,-1)^(n(n-1)/2) * (lam,disc f)^(n-1) = c(f) * (lam,-1)^((n-1)/2)
+    inv_f, inv_g = form_invariants(f), form_invariants(g)
+    lam = inv_f.disc * inv_g.disc
+    signature = inv_f.signature if lam > 0 else inv_f.signature[::-1]
+    twist = (f.dim - 1) // 2
+    return signature == inv_g.signature and all(
+        inv_f.hasse_at(v) * hilbert_symbol(lam, -1, v) ** twist == inv_g.hasse_at(v)
+        for v in support_places(*f.coeffs, *g.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +199,8 @@ class GroupC:
             raise ValueError("rank must be at least 2")
         if any(value.denominator > 2 for _, value in self.algebra.invariants):
             raise ValueError("the algebra must have local indices 1 or 2")
-        if self.real_definite and not self._ramified_at_real():
+        if self.real_definite and not any(v.is_real for v in self.algebra.support):
             raise ValueError("real-definite requires ramification at the real place")
-
-    def _ramified_at_real(self) -> bool:
-        return any(v.is_real for v in self.algebra.support)
 
 
 def twins(b: GroupB, c: GroupC) -> bool:
@@ -228,7 +220,7 @@ def twins(b: GroupB, c: GroupC) -> bool:
     if not c.algebra.is_trivial():
         return False
     inv = form_invariants(b.form)
-    return all(_witt_index(inv, v) == b.rank for v in _relevant_places(b.form))
+    return all(_witt_index(inv, v) == b.rank for v in support_places(*b.form.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -274,22 +266,14 @@ class ArithmeticTriple:
     def _warn_anisotropic_places(self):
         # S must avoid places where the group is anisotropic: S-arithmetic
         # subgroups cannot detect such places
-        inv = None
-        if self.places and isinstance(self.group, (QuadraticForm, GroupB)):
-            inv = form_invariants(_group_form(self.group))
-        for p in sorted(self.places):
-            v = Place(p)
-            anisotropic = False
-            if inv is not None:
-                anisotropic = _witt_index(inv, v) == 0
-            elif isinstance(self.group, BrauerClass):
-                anisotropic = self.group.invariant_at(v) != 0
-            if anisotropic:
-                warnings.warn(
-                    f"place {p} in S but the group is anisotropic there; "
-                    "it does not change the commensurability class",
-                    stacklevel=3,
-                )
+        group, inv = self.group, None
+        if self.places and isinstance(group, (QuadraticForm, GroupB)):
+            inv = form_invariants(_group_form(group))
+        for v in map(Place, sorted(self.places)):
+            if (_witt_index(inv, v) == 0 if inv is not None
+                    else isinstance(group, BrauerClass) and group.invariant_at(v) != 0):
+                warnings.warn(f"place {v} in S but the group is anisotropic there; it does "
+                              "not change the commensurability class", stacklevel=3)
 
 
 def _group_kind(group: GroupDatum) -> tuple[str, int]:

@@ -13,6 +13,7 @@ Prasad-Rapinchuk), that is, when the classes are equal.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -151,9 +152,22 @@ def length_commensurable(a1: BrauerClass, a2: BrauerClass) -> bool:
 
 
 def weyl_main_term(q: WeylQuery) -> float:
-    """Leading eigenvalue-count term vol/((4 pi)^(n/2) Gamma(n/2+1)) * lam^n."""
+    """Leading eigenvalue-count term vol/((4 pi)^(n/2) Gamma(n/2+1)) * lam^n,
+    in floats; where a factor leaves the float range, or the quotient falls
+    below it, from its log in mpmath, rounded once: 0.0 below the range."""
     n = q.dim
-    term = q.volume / ((4 * math.pi) ** (n / 2) * math.gamma(n / 2 + 1)) * q.lam**n
+    try:
+        quotient = q.volume / ((4 * math.pi) ** (n / 2) * math.gamma(n / 2 + 1))
+        term = quotient * q.lam**n
+    except OverflowError:
+        quotient = term = math.nan
+    if not (quotient >= sys.float_info.min and math.isfinite(term) and (term or not q.lam)):
+        from mpmath import mp
+
+        with mp.workprec(64 + n.bit_length()):  # the log grows as n log n
+            half = mp.mpf(n) / 2
+            term = float(mp.exp(mp.log(q.volume) + n * mp.log(q.lam) - half * mp.log(4 * mp.pi)
+                                - mp.loggamma(half + 1)))
     if not math.isfinite(term):
         raise OverflowError("Weyl main term is not a finite float")
     return term

@@ -532,17 +532,53 @@ def genus_size_by_ramanujan_sums(orders: list[int]) -> int:
 # Closed forms of qforms and genus, recomputed by their former searches
 
 
+def disc_class_by_product(coeffs: tuple[Fraction, ...]) -> int:
+    """The discriminant square class of a form, by factoring the product of
+    its coefficients (the former qforms._disc_class)."""
+    from math import gcd, prod
+
+    from arithgenus.arith import squarefree_part
+
+    # the product's square class, num * den of the reduced product
+    num, den = prod(a.numerator for a in coeffs), prod(a.denominator for a in coeffs)
+    common = gcd(num, den)
+    return squarefree_part(num * den // (common * common))
+
+
+def form_invariants_by_pairs(f):
+    """Discriminant, Hasse invariants and signature of a form, with the
+    discriminant factored from the product of the coefficients and the Hasse
+    invariant as the product of all n(n-1)/2 pairwise symbols at each place
+    (the former qforms.form_invariants)."""
+    from arithgenus.arith import Place, hilbert_symbol, support_places
+    from arithgenus.qforms import LocalInvariants
+
+    minus = []
+    for v in support_places(*f.coeffs):
+        h = 1
+        for i in range(f.dim):
+            for j in range(i + 1, f.dim):
+                h *= hilbert_symbol(f.coeffs[i], f.coeffs[j], v)
+        if h == -1:
+            minus.append(v)
+    minus.sort(key=Place.sort_key)
+    positives = sum(1 for a in f.coeffs if a > 0)
+    return LocalInvariants(
+        f.dim, disc_class_by_product(f.coeffs), tuple(minus), (positives, f.dim - positives)
+    )
+
+
 def similar_by_search(f, g) -> bool:
     """Similarity of two forms of equal odd dimension by trying every factor
     supported on -1, 2 and the odd primes of disc(f)*disc(g)."""
     import itertools
 
     from arithgenus.arith import support_places
-    from arithgenus.qforms import _disc_class, forms_equivalent
+    from arithgenus.qforms import forms_equivalent
 
     odd_primes = sorted(
         v.prime
-        for v in support_places(_disc_class(f.coeffs), _disc_class(g.coeffs))
+        for v in support_places(disc_class_by_product(f.coeffs), disc_class_by_product(g.coeffs))
         if v.prime is not None and v.prime != 2
     )
     generators = [Fraction(-1), Fraction(2)] + [Fraction(p) for p in odd_primes]
@@ -637,11 +673,11 @@ def zero_sum_classes_by_fractions(places, orders):
 def twins_by_places(b, c) -> bool:
     """The twins test place by place: both groups split at every finite
     place, and split/split or anisotropic/anisotropic at the real place."""
-    from arithgenus.arith import Place
-    from arithgenus.qforms import _relevant_places, form_invariants, witt_index_local
+    from arithgenus.arith import Place, support_places
+    from arithgenus.qforms import form_invariants, witt_index_local
 
     n = b.rank
-    finite = {v for v in _relevant_places(b.form) if not v.is_real}
+    finite = {v for v in support_places(*b.form.coeffs) if not v.is_real}
     finite.update(v for v in c.algebra.support if not v.is_real)
     for v in sorted(finite, key=Place.sort_key):
         if witt_index_local(b.form, v) != n:

@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import oracles
-from arithgenus import arith, qforms
-from arithgenus.arith import Place, REAL_PLACE, hilbert_symbol
+from arithgenus import arith, cli, qforms
+from arithgenus.arith import Place, REAL_PLACE, hilbert_symbol, squarefree_part, support_places
 from arithgenus.brauer import BrauerClass, class_from_quaternion, parse_class
 from arithgenus.qforms import (
     ArithmeticTriple,
@@ -222,8 +225,6 @@ class TestGlobalWitt:
     def test_equals_min_of_local_witt(self):
         # the anisotropic kernel over Q stays anisotropic at some relevant
         # place, so the global index is the minimum of the local ones there
-        from arithgenus.arith import support_places
-
         rng = random.Random(RNG_SEED + 8)
         for _ in range(150):
             f = random_form(rng, rng.choice((2, 3, 4, 5, 6, 7)))
@@ -393,7 +394,7 @@ class TestTwins:
         # hyperbolic pairs over 2..13 plus <1>: split, relevant at 2..13 and inf
         coeffs = [c for p in (2, 3, 5, 7, 11, 13) for c in (p, -p)] + [1]
         b = GroupB(QF(*coeffs))
-        assert len(qforms._relevant_places(b.form)) == 7
+        assert len(support_places(*b.form.coeffs)) == 7
         calls = count_form_invariants(monkeypatch)
         assert twins(b, GroupC(BrauerClass(), 6))
         assert len(calls) == 1
@@ -507,3 +508,140 @@ class TestTriples:
     def test_opaque_group_needs_non_rational_tag(self):
         with pytest.raises(ValueError):
             ArithmeticTriple("opaque", "Q")
+
+
+# ---------------------------------------------------------------------------
+# Invariants from per-coefficient square classes, against the pairwise path
+
+NONZERO = st.integers(-10**6, 10**6).filter(bool)
+RATIONALS = st.builds(Fraction, NONZERO, st.integers(1, 1000))
+SMALL_PRIMES = (2, 3, 5, 7, 11)
+# nonzero rationals on the primes 2..11, so that similar_by_search tries at
+# most 2^6 factors
+SMALL_PRIME_RATIONALS = st.builds(
+    lambda sign, exps, den: Fraction(sign * prod(p**e for p, e in zip(SMALL_PRIMES, exps)), den),
+    st.sampled_from((-1, 1)), st.tuples(*[st.integers(0, 2)] * len(SMALL_PRIMES)),
+    st.sampled_from((1, 2, 3, 5, 9)))
+SQUARES = st.sampled_from((1, 4, 9, Fraction(1, 4), Fraction(49, 25)))
+
+
+def forms(coeffs=RATIONALS, dims=st.integers(1, 7)):
+    return dims.flatmap(lambda n: st.lists(coeffs, min_size=n, max_size=n)).map(
+        lambda cs: QF(*cs))
+
+
+def product_bits(f):
+    return (prod(a.numerator for a in f.coeffs) * prod(a.denominator for a in f.coeffs)).bit_length()
+
+
+@st.composite
+def odd_pairs(draw):
+    """(f, g, built) with f, g of equal odd dimension <= 7; when built, g is a
+    scaling of f with its coefficients permuted and rescaled by squares."""
+    n = draw(st.sampled_from((1, 3, 5, 7)))
+    f = draw(forms(SMALL_PRIME_RATIONALS, st.just(n)))
+    built = draw(st.booleans())
+    if built:
+        lam = draw(SMALL_PRIME_RATIONALS)
+        squares = draw(st.lists(SQUARES, min_size=n, max_size=n))
+        g = QF(*draw(st.permutations([lam * a * s for a, s in zip(f.coeffs, squares)])))
+    else:
+        g = draw(forms(SMALL_PRIME_RATIONALS, st.just(n)))
+    return f, g, built
+
+
+class TestSquareClassProperties:
+    @given(forms())
+    def test_invariants_match_pairwise_oracle(self, f):
+        assume(product_bits(f) < 200)
+        assert form_invariants(f) == oracles.form_invariants_by_pairs(f)
+
+    @given(forms())
+    def test_disc_is_squarefree(self, f):
+        inv = form_invariants(f)
+        assert squarefree_part(inv.disc) == inv.disc
+
+    @given(odd_pairs())
+    def test_similarity_matches_search_and_scaling(self, pair):
+        f, g, built = pair
+        lam = oracles.disc_class_by_product(f.coeffs) * oracles.disc_class_by_product(g.coeffs)
+        similar = qforms._forms_similar(f, g)
+        assert similar == oracles.similar_by_search(f, g) == forms_equivalent(f.scaled(lam), g)
+        assert similar or not built
+
+    @given(forms(dims=st.sampled_from((1, 3, 5, 7))), RATIONALS)
+    def test_scaled_form_is_similar(self, f, lam):
+        assert qforms._forms_similar(f.scaled(lam), f)
+
+    @given(forms(), st.data())
+    def test_equivalence_ignores_order_and_square_factors(self, f, data):
+        coeffs = list(data.draw(st.permutations(f.coeffs)))
+        i = data.draw(st.integers(0, f.dim - 1))
+        coeffs[i] *= data.draw(RATIONALS) ** 2
+        g = QF(*coeffs)
+        h = data.draw(st.one_of(forms(dims=st.just(f.dim)), st.permutations(f.coeffs).map(
+            lambda cs: QF(*cs))))
+        assert forms_equivalent(g, f)
+        assert forms_equivalent(g, h) == forms_equivalent(f, h)
+
+
+class TestRoundTrips:
+    @given(forms())
+    def test_form_through_str(self, f):
+        assert cli._form(str(f)) == f
+
+    @given(st.sampled_from((2, 3, 5, 7, 101, 2**61 - 1)).map(Place) | st.just(REAL_PLACE))
+    def test_place_through_str(self, v):
+        assert Place.parse(str(v)) == v
+
+    @pytest.mark.parametrize("text", ["inf", "oo", "real", " inf "])
+    def test_real_place_names(self, text):
+        v = Place.parse(text)
+        assert v == REAL_PLACE and str(v) == "inf"
+
+
+# two 60-bit primes and seven 40-bit primes, each proven by is_prime
+P60, Q60 = 576460752303435851, 576460752304435897
+PRIMES_40 = (549755826239, 549756826243, 549757826257, 549758826271, 549759826333,
+             549760826341, 549761826391)
+
+
+def pairwise_hasse_minus(f):
+    return tuple(v for v in support_places(*f.coeffs) if prod(
+        hilbert_symbol(f.coeffs[i], f.coeffs[j], v)
+        for i in range(f.dim) for j in range(i + 1, f.dim)) == -1)
+
+
+def reply(argv):
+    return cli.execute(cli.parse(argv)).to_json()
+
+
+class TestLargeCoefficients:
+    """Forms whose coefficients factor at once although their products are
+    too large or too hard to factor."""
+
+    def test_two_60_bit_primes(self):
+        f = QF(P60, Q60, 1)
+        inv = form_invariants(f)
+        assert inv.disc == P60 * Q60
+        assert inv.hasse_minus == pairwise_hasse_minus(f)
+        assert reply(["form", f"--form={f}"]).startswith('{"ok":true,')
+
+    def test_seven_40_bit_primes(self):
+        coeffs = [(-1) ** i * p for i, p in enumerate(PRIMES_40)]
+        f = QF(*coeffs)
+        inv = form_invariants(f)
+        assert inv.disc == prod(coeffs) and inv.signature == (4, 3)
+        assert inv.hasse_minus == pairwise_hasse_minus(f)
+        assert reply(["form", f"--form={f}"]).startswith('{"ok":true,')
+
+    def test_five_dimensional_triple(self):
+        assert reply(["triple", "--triple1=form=850,-12,-24334/25,9747/13,72",
+                      "--triple2=form=36/13,1500/17,-2/9,-174/101,477/11"]) == (
+            '{"ok":true,"result":{"commensurable":false,'
+            '"reason":"forms are not similar over Q"}}')
+
+    def test_40_bit_self_triple(self):
+        form = ",".join(str(p) for p in PRIMES_40[:5])
+        assert reply(["triple", f"--triple1=form={form}", f"--triple2=form={form}"]) == (
+            '{"ok":true,"result":{"commensurable":true}}')

@@ -351,6 +351,46 @@ class TestWeyl:
         expected = 1.0 / ((4 * math.pi) ** 1.5 * (3 / 4) * math.sqrt(math.pi))
         assert abs(weyl_main_term(q) - expected) < 1e-15
 
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_in_range_terms_unchanged(self, dim):
+        # the float formula, bit for bit, wherever its factors stay in range
+        for volume in (1e-3, 1.0, 4 * math.pi, 12345.678):
+            for lam in (0.0, 0.5, 1.0, 7.25, 1e3):
+                direct = volume / ((4 * math.pi) ** (dim / 2) * math.gamma(dim / 2 + 1)) * lam**dim
+                assert weyl_main_term(WeylQuery(dim, volume, lam)) == direct
+
+    def test_overflow_refused(self):
+        # lam^n overflows a float; so does the term
+        with pytest.raises(OverflowError, match="Weyl main term is not a finite float"):
+            weyl_main_term(WeylQuery(2, 1e308, 1e200))
+        argv = ["weyl", "--dim=2", "--volume=1e308", "--lam=1e200"]
+        assert cli.execute(cli.parse(argv)).to_json() == (
+            '{"ok":false,"error":"Weyl main term is not a finite float"}')
+
+    def test_underflow_is_zero(self):
+        # Gamma(201) overflows a float; the term is about 1e-596
+        assert weyl_main_term(WeylQuery(400, 1.0, 1.0)) == 0.0
+        assert weyl_main_term(WeylQuery(400, 1.0, 0.0)) == 0.0
+        argv = ["weyl", "--dim=400", "--volume=1", "--lam=1"]
+        assert cli.execute(cli.parse(argv)).to_json() == '{"ok":true,"result":0.0}'
+
+
+    def test_dimension_past_float_range(self):
+        # n/2 is no float; lam^n wins at 10^400 and Gamma(n/2+1) at 10^1000
+        with pytest.raises(OverflowError, match="Weyl main term is not a finite float"):
+            weyl_main_term(WeylQuery(10**400, 1.0, 1e300))
+        assert weyl_main_term(WeylQuery(10**1000, 1.0, 1e300)) == 0.0
+
+    @pytest.mark.parametrize("dim, volume, lam", [(300, 1.0, 10.0), (250, 1e-300, 40.0),
+                                                  (220, 1e-10, 10.0), (2, 1e-320, 1e10)])
+    def test_term_in_range_from_factors_out_of_it(self, dim, volume, lam):
+        # (4 pi)^(n/2) Gamma(n/2+1) leaves the float range, or the quotient
+        # falls below it, while the term itself is a normal float
+        with mp.workprec(200):
+            half = mp.mpf(dim) / 2
+            exact = volume / ((4 * mp.pi) ** half * mp.gamma(half + 1)) * mp.mpf(lam) ** dim
+        assert math.isclose(weyl_main_term(WeylQuery(dim, volume, lam)), float(exact), rel_tol=1e-15)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             WeylQuery(0, 1.0, 1.0)
