@@ -8,12 +8,12 @@ but the last, which the zero sum fixes.
 
 A genus is stored as its base class and one tuple of integer numerators
 k_v per member, the invariants k_v/r_v at the base's places r_v = local
-index.  The enumeration adds numerators mod L, the lcm of the r_v, and looks
-the last one up from the residue of minus the sum.  It visits the product
-of phi(r_v) over every place but the last; a genus or epsilon family needing
-more than MAX_GENUS_COMBINATIONS is refused with ValueError before any is
-visited.  Replies are formatted from per-place text tables; BrauerClass
-members are built only when asked for.
+index.  The weighted numerator sums mod L, the lcm of the r_v, are built a
+place at a time over every place but the last, whose numerator is looked up
+from each residue; more than MAX_GENUS_COMBINATIONS sums (the product of
+the phi(r_v)) are refused with ValueError first.  The enumerators build
+their GenusSet unchecked, texts are joined column-wise from per-place
+tables, and BrauerClass members are built only when asked for.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
-from operator import getitem, itemgetter, mul
+from operator import itemgetter, mul
 
 from .arith import Place, _factor_positive, is_local_square, is_squarefree
 from .brauer import BrauerClass, global_index
@@ -58,6 +58,13 @@ class GenusSet:
         if any(sum(map(mul, ks, weights)) % modulus for ks in self.numerators):
             raise ValueError("local invariants must sum to 0 in Q/Z")
 
+    @classmethod
+    def _enumerated(cls, base: BrauerClass, numerators) -> "GenusSet":
+        # an enumerator's own output, known valid: skips __post_init__
+        genus = object.__new__(cls)
+        vars(genus).update(base=base, numerators=numerators)
+        return genus
+
     @property
     def _orders(self) -> list[int]:
         return [value.denominator for _, value in self.base.invariants]
@@ -78,12 +85,10 @@ class GenusSet:
 
     def texts(self) -> list[str]:
         """The members' text encodings, in member order."""
-        # one "place:k/r" string per numerator that occurs at each place
-        tables = [
-            {k: f"{v}:{k}/{r}" for k in set(column)}
-            for v, r, column in zip(self.base.support, self._orders, zip(*self.numerators))
-        ]
-        return [",".join(map(getitem, tables, ks)) for ks in self.numerators]
+        # each place's column mapped through its "place:k/r" table, then joined
+        columns = [map({k: f"{v}:{k}/{r}" for k in set(column)}.__getitem__, column)
+                   for v, r, column in zip(self.base.support, self._orders, zip(*self.numerators))]
+        return list(map(",".join, zip(*columns))) if columns else [""] * self.size
 
 
 def embeds_quadratic(d: int, algebra: BrauerClass) -> bool:
@@ -128,23 +133,26 @@ def _zero_sum_numerators(orders) -> list[tuple[int, ...]]:
                          f"above the limit {MAX_GENUS_COMBINATIONS}")
     modulus = lcm(*orders)
     # the numerators k of exact order r at each place (a real place has r = 2,
-    # so its only value is 1/2), and their weights k * L/r mod L
+    # so its only value is 1/2); a numerator k weighs k * L/r mod L
     choices = [[k for k in range(1, r) if gcd(k, r) == 1] for r in orders]
-    weights = [[k * (modulus // r) for k in ks] for ks, r in zip(choices, orders)]
-    closing = {-w % modulus: (k,) for k, w in zip(choices[-1], weights[-1])}
-    numerators = []
-    for ks, ws in zip(itertools.product(*choices[:-1]), itertools.product(*weights[:-1])):
-        last = closing.get(sum(ws) % modulus)
-        if last is not None:
-            numerators.append(ks + last)
-    return numerators
+    closing = {-k * (modulus // orders[-1]) % modulus: k for k in choices[-1]}
+    # the weight sums over all but the last place, a place at a time, in product order
+    sums = [0]
+    for ks, r in zip(choices[:-1], orders):
+        ws = [k * (modulus // r) for k in ks]
+        sums = [s + w for s in sums for w in ws]
+    # every k >= 1, so a lookup is falsy only where no last numerator closes
+    lasts = [closing.get(s % modulus) for s in sums]
+    heads = itertools.compress(itertools.product(*choices[:-1]), lasts)
+    return [ks + (k,) for ks, k in zip(heads, filter(None, lasts))]
 
 
 def genus_enumerate(c: BrauerClass) -> GenusSet:
     """All classes with the same local index as c at every place, ordered
     by their invariants: the places and local orders are shared, and the
     product order over ascending numerators is already sorted."""
-    return GenusSet(c, tuple(_zero_sum_numerators([value.denominator for _, value in c.invariants])))
+    numerators = _zero_sum_numerators([value.denominator for _, value in c.invariants])
+    return GenusSet._enumerated(c, tuple(numerators))
 
 
 def epsilon_family(primes: list[int] | tuple[int, ...]) -> GenusSet:
@@ -171,10 +179,12 @@ def epsilon_family(primes: list[int] | tuple[int, ...]) -> GenusSet:
             raise ValueError(f"{p} is not prime") from None
     # numerators over the primes as given, stored in ascending place order
     canonical = sorted(range(len(primes)), key=primes.__getitem__)
-    numerators = tuple(map(itemgetter(*canonical), _zero_sum_numerators([3] * len(primes))))
+    numerators = _zero_sum_numerators([3] * len(primes))
+    numerators = tuple(numerators if canonical == sorted(canonical)
+                       else map(itemgetter(*canonical), numerators))
     base = BrauerClass(tuple((places[i], Fraction(k, 3))
                              for i, k in zip(canonical, numerators[0])))
-    return GenusSet(base, numerators)
+    return GenusSet._enumerated(base, numerators)
 
 
 def genus_report(genus: GenusSet) -> dict:

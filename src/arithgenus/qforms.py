@@ -273,7 +273,7 @@ class ArithmeticTriple:
             if (_witt_index(inv, v) == 0 if inv is not None
                     else isinstance(group, BrauerClass) and group.invariant_at(v) != 0):
                 warnings.warn(f"place {v} in S but the group is anisotropic there; it does "
-                              "not change the commensurability class", stacklevel=3)
+                              "not change the commensurability class", stacklevel=4)
 
 
 def _group_kind(group: GroupDatum) -> tuple[str, int]:

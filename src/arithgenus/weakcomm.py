@@ -13,10 +13,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import log2, prod
+from operator import mul
 from typing import Optional, Union
 
 from .arith import Rational, factor, is_prime
 from .quadfield import QuadUnit
+
+# Most bits, numerator and denominator together, of a witness that
+# intersection_witness builds (seed-0 benchmark witnesses have at most 862)
+MAX_WITNESS_BITS = 2**16
 
 
 @dataclass(frozen=True)
@@ -159,11 +165,35 @@ def _exponent_rows(
     return support, rows
 
 
-def _power_product(values: tuple[Fraction, ...], exponents: list[int]) -> Fraction:
-    out = Fraction(1)
-    for v, e in zip(values, exponents):
-        out *= v**e
-    return out
+def _common_element(
+    s1: RationalEigenvalues, s2: RationalEigenvalues
+) -> Optional[tuple[tuple[int, ...], list[int], int]]:
+    """The common element != 1 that intersection_witness returns, as
+    (primes, exponents, sign) for sign * prod p**e; no primes for -1, and
+    None when the groups meet only in 1.
+
+    Solves x*A = y*B over Z via the left kernel of the stacked matrix
+    [A; -B]; a kernel element with nonzero image gives |g| realized in both
+    groups, and squaring reconciles the signs when they disagree.  The signs
+    are read from the sign parities, so no power product is built.  Each
+    value is factored once, and one kernel answers both questions.
+    """
+    support, ((a_rows, a_signs), (b_rows, b_signs)) = _exponent_rows(s1, s2)
+    kernel = _left_kernel(a_rows + [[-x for x in row] for row in b_rows])
+    r1 = len(a_rows)
+    for u in kernel:
+        x, y = u[:r1], u[r1:]
+        image = [sum(xi * row[j] for xi, row in zip(x, a_rows)) for j in range(len(support))]
+        if any(image):
+            odd = sum(map(mul, x, a_signs)) % 2
+            if odd == sum(map(mul, y, b_signs)) % 2:
+                return support, image, -1 if odd else 1
+            return support, [2 * e for e in image], 1
+    # every kernel vector has image 0, so the kernel is ker A + ker B, and -1
+    # lies in a group iff some kernel vector has odd sign parity on its part
+    a_odd = any(sum(map(mul, u[:r1], a_signs)) % 2 for u in kernel)
+    b_odd = any(sum(map(mul, u[r1:], b_signs)) % 2 for u in kernel)
+    return ((), [], -1) if a_odd and b_odd else None
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +204,7 @@ def groups_intersect(s1: EigenvalueSet, s2: EigenvalueSet) -> bool:
     """Whether the eigenvalue-generated subgroups of Q-bar^x share an element
     other than 1."""
     if isinstance(s1, RationalEigenvalues) and isinstance(s2, RationalEigenvalues):
-        return intersection_witness(s1, s2) is not None
+        return _common_element(s1, s2) is not None
     if isinstance(s1, QuadraticEigenvalues) and isinstance(s2, QuadraticEigenvalues):
         # same field: u1^(2k2) = u2^(2k1) up to nothing, a genuine common
         # element; distinct fields meet only in +-1, which our sets exclude
@@ -189,27 +219,23 @@ def intersection_witness(
     """A common element != 1 of the two rational eigenvalue groups, if any;
     prefers an infinite-order witness and falls back to -1.
 
-    Solves x*A = y*B over Z via the left kernel of the stacked matrix
-    [A; -B]; a kernel element with nonzero image gives |g| realized in both
-    groups, and squaring reconciles the signs when they disagree.  Each value
-    is factored once, and one kernel answers both questions.
+    The witness's size is known from its exponents before it is built: one
+    of more than MAX_WITNESS_BITS bits (the sum of |e| * log2 p) is refused
+    with ValueError.  The verdicts of groups_intersect and
+    weakly_commensurable need no witness and are never refused.
     """
-    support, ((a_rows, a_signs), (b_rows, b_signs)) = _exponent_rows(s1, s2)
-    kernel = _left_kernel(a_rows + [[-x for x in row] for row in b_rows])
-    r1 = len(a_rows)
-    for u in kernel:
-        x, y = u[:r1], u[r1:]
-        image = [sum(xi * row[j] for xi, row in zip(x, a_rows)) for j in range(len(support))]
-        if any(image):
-            g1 = _power_product(s1.values, x)
-            g2 = _power_product(s2.values, y)
-            assert abs(g1) == abs(g2)
-            return g1 if g1 == g2 else g1 * g1
-    # every kernel vector has image 0, so the kernel is ker A + ker B, and -1
-    # lies in a group iff some kernel vector has odd sign parity on its part
-    a_odd = any(sum(x * s for x, s in zip(u[:r1], a_signs)) % 2 for u in kernel)
-    b_odd = any(sum(y * s for y, s in zip(u[r1:], b_signs)) % 2 for u in kernel)
-    return Fraction(-1) if a_odd and b_odd else None
+    common = _common_element(s1, s2)
+    if common is None:
+        return None
+    support, exponents, sign = common
+    # each prime adds |e| * log2 p >= |e| bits, so the first test keeps the
+    # float sum in range
+    if any(abs(e) > MAX_WITNESS_BITS for e in exponents) or sum(
+            abs(e) * log2(p) for p, e in zip(support, exponents)) > MAX_WITNESS_BITS:
+        raise ValueError(f"witness of more than {MAX_WITNESS_BITS} bits refused; "
+                         "the groups share an element of infinite order")
+    return Fraction(sign * prod(p**e for p, e in zip(support, exponents) if e > 0),
+                    prod(p**-e for p, e in zip(support, exponents) if e < 0))
 
 
 def refuse_torsion(*sets: EigenvalueSet) -> None:
@@ -225,5 +251,7 @@ def weakly_commensurable(e1: EigenvalueSet, e2: EigenvalueSet) -> bool:
     eigenvalue groups must share an element different from +-1."""
     refuse_torsion(e1, e2)
     if isinstance(e1, RationalEigenvalues) and isinstance(e2, RationalEigenvalues):
-        return intersection_witness(e1, e2) not in (None, -1)
+        # a common element of infinite order has a nonzero exponent
+        common = _common_element(e1, e2)
+        return common is not None and any(common[1])
     return groups_intersect(e1, e2)

@@ -431,6 +431,34 @@ def groups_intersect_by_search(values1, values2, bound: int = 8) -> bool:
     return bool(common)
 
 
+def witness_by_power_products(s1, s2):
+    """The common element of two rational eigenvalue sets as the former
+    intersection_witness built it: the first kernel vector (x, y) of
+    [A; -B] with nonzero image, raised out as the power products g1 and g2
+    of the values (squared when their signs differ); else -1 when some
+    kernel vector has odd sign parity on both parts, else None."""
+    from arithgenus.weakcomm import _exponent_rows, _left_kernel
+
+    def power_product(values, exponents):
+        out = Fraction(1)
+        for v, e in zip(values, exponents):
+            out *= v**e
+        return out
+
+    support, ((a_rows, a_signs), (b_rows, b_signs)) = _exponent_rows(s1, s2)
+    kernel = _left_kernel(a_rows + [[-x for x in row] for row in b_rows])
+    r1 = len(a_rows)
+    for u in kernel:
+        x, y = u[:r1], u[r1:]
+        if any(sum(xi * row[j] for xi, row in zip(x, a_rows)) for j in range(len(support))):
+            g1, g2 = power_product(s1.values, x), power_product(s2.values, y)
+            assert abs(g1) == abs(g2)
+            return g1 if g1 == g2 else g1 * g1
+    a_odd = any(sum(x * s for x, s in zip(u[:r1], a_signs)) % 2 for u in kernel)
+    b_odd = any(sum(y * s for y, s in zip(u[r1:], b_signs)) % 2 for u in kernel)
+    return Fraction(-1) if a_odd and b_odd else None
+
+
 def _sign_and_exponents(q) -> tuple[int, dict[int, int]]:
     """(1 if q < 0 else 0, {p: v_p(q)}) by trial division of the numerator
     and the denominator down to 1."""

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -257,6 +258,9 @@ class TestGenusEnumerate:
         genus_set = GenusSet(BrauerClass(), ((),))
         assert genus_set.members == (BrauerClass(),)
         assert genus_set.texts() == [""]
+        # the same through the unchecked path
+        assert genus_enumerate(BrauerClass()) == genus_set
+        assert genus_report(genus_set) == {"base": "", "size": 1, "members": [""]}
 
     def test_members_built_on_demand(self, monkeypatch):
         cls = parse_class("2:1/7,3:2/7,5:3/7,7:4/7,11:4/7")
@@ -423,3 +427,76 @@ class TestNumeratorGenusProperties:
         expected = oracles.zero_sum_classes_by_fractions(places, [3] * len(primes))
         assert family.texts() == [str(m) for m in expected]
         assert family.members == tuple(expected)
+
+
+class TestLevelwiseEnumeration:
+    @given(st.lists(st.integers(2, 12), max_size=5), st.booleans())
+    def test_matches_fraction_enumeration(self, orders, real):
+        # a real place of order 2 first when asked for, and the finite
+        # places after it; the oracle's classes read back as numerators
+        places = [Place(p) for p in PRIMES[:len(orders)]]
+        if real:
+            orders, places = [2] + orders, [REAL_PLACE] + places
+        assume(math.prod(genus._totient(r) for r in orders[:-1]) <= 4096)
+        expected = [tuple(int(m.invariant_at(v) * r) for v, r in zip(places, orders))
+                    for m in oracles.zero_sum_classes_by_fractions(places, orders)]
+        assert genus._zero_sum_numerators(orders) == expected
+
+    def test_no_place_and_single_place(self):
+        assert genus._zero_sum_numerators([]) == [()]
+        # one place alone cannot close a zero sum, whatever its order
+        for r in (2, 3, 12):
+            assert genus._zero_sum_numerators([r]) == []
+            assert oracles.zero_sum_classes_by_fractions([Place(2)], [r]) == []
+        assert oracles.zero_sum_classes_by_fractions([], []) == [BrauerClass()]
+
+    @given(brauer_classes())
+    def test_enumerated_genus_passes_the_full_check(self, cls):
+        genus_set = genus_enumerate(cls)
+        assert GenusSet(genus_set.base, genus_set.numerators) == genus_set
+        assert genus_set.texts() == [str(m) for m in genus_set.members]
+
+    @given(st.lists(st.sampled_from(PRIMES + (19, 23, 29, 31, 37, 41)), min_size=2, max_size=12,
+                    unique=True))
+    def test_family_passes_the_full_check(self, primes):
+        family = epsilon_family(primes)
+        assert GenusSet(family.base, family.numerators) == family
+        assert family.texts() == [str(m) for m in family.members]
+
+    def test_enumerators_skip_the_check(self, monkeypatch):
+        checked = []
+        post_init = GenusSet.__post_init__
+        monkeypatch.setattr(GenusSet, "__post_init__",
+                            lambda self: checked.append(self) or post_init(self))
+        genus_enumerate(parse_class("2:1/5,3:1/5,5:1/5,7:2/5"))
+        genus_enumerate(BrauerClass())
+        epsilon_family((7, 3, 2, 5))
+        assert checked == []
+        # a direct construction is still checked, and refuses every bad case
+        bad = [(parse_class("2:1/3,3:2/3"), ((2, 1),)),
+               (parse_class("2:1/3,3:2/3"), ((1, 2), (1, 1))),
+               (parse_class("2:1/4,5:1/4,inf:1/2"), ((1, 1, 1), (3, 1, 1)))]
+        bad += [(parse_class("2:1/4,3:3/4"), ((1, 3), wrong))
+                for wrong in ((2, 2), (1, 0), (4, 0), (1, 3, 0), (1,))]
+        for base, numerators in bad:
+            with pytest.raises(ValueError):
+                GenusSet(base, numerators)
+        assert len(checked) == len(bad)
+
+
+class TestCombinationBoundary:
+    # phi(17)**4 = 2**16 choices over the first four places
+    AT_LIMIT = "2:1/17,3:1/17,5:1/17,7:1/17,11:13/17"
+
+    def test_genus_at_the_limit_answers(self):
+        started = time.perf_counter()
+        report = genus_report(genus_enumerate(parse_class(self.AT_LIMIT)))
+        assert time.perf_counter() - started < 5
+        assert report["size"] == oracles.genus_size_by_ramanujan_sums([17] * 5) == 61680
+
+    def test_one_above_the_limit_is_refused_before_enumerating(self, monkeypatch):
+        monkeypatch.setattr(genus, "MAX_GENUS_COMBINATIONS", 2**16 - 1)
+        # the numerator choices are the first thing the enumeration builds
+        monkeypatch.setattr(genus, "gcd", lambda *args: pytest.fail("enumeration started"))
+        with pytest.raises(ValueError, match="needs 65536 combinations, above the limit 65535"):
+            genus_enumerate(parse_class(self.AT_LIMIT))

@@ -497,6 +497,13 @@ class TestTriples:
         with pytest.warns(UserWarning):
             ArithmeticTriple(class_from_quaternion(-1, 3), "Q", frozenset({3}))
 
+    def test_anisotropic_place_warning_names_the_caller(self):
+        # not the __init__ that dataclasses generates, which reads <string>
+        for group in (F1, class_from_quaternion(-1, 3)):
+            with pytest.warns(UserWarning) as record:
+                ArithmeticTriple(group, "Q", frozenset({3}))
+            assert [w.filename for w in record] == [__file__]
+
     def test_s_must_hold_primes(self):
         with pytest.raises(ValueError):
             ArithmeticTriple(F1, "Q", frozenset({6}))

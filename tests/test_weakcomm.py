@@ -1,12 +1,20 @@
+import json
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
-from math import gcd
+from math import gcd, log2, prod
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
+from arithgenus import weakcomm
 from arithgenus.quadfield import fundamental_unit
 from arithgenus.weakcomm import (
+    MAX_WITNESS_BITS,
     ExponentVector,
     QuadraticEigenvalues,
     RationalEigenvalues,
@@ -379,3 +387,98 @@ class TestWeaklyCommensurable:
                 continue
             checked += 1
             assert weakly_commensurable(s1, s2) == weakly_commensurable(s2, s1)
+
+
+def rational_sets():
+    """Eigenvalue sets of signed products of small primes, not torsion-only."""
+    value = st.builds(
+        lambda sign, exps: sign * prod(Fraction(p) ** e for p, e in zip(SMALL_PRIMES, exps)),
+        st.sampled_from((1, -1)),
+        st.lists(st.integers(-4, 4), min_size=len(SMALL_PRIMES), max_size=len(SMALL_PRIMES)))
+    return st.lists(value, min_size=1, max_size=4).filter(
+        lambda vs: any(v not in (1, -1) for v in vs)).map(lambda vs: RationalEigenvalues(tuple(vs)))
+
+
+class TestWitnessBound:
+    # a one-dimensional kernel: the only primitive witness has about 157000
+    # bits; without the bound, random_generators ran past a 200 s timeout
+    FORCED = (RationalEigenvalues.of(Fraction(2**151, 3**61)),
+              RationalEigenvalues.of(Fraction(2**149, 3**67), Fraction(2**139, 3**71)))
+
+    @staticmethod
+    def random_generators():
+        # 16 + 16 values, each a product of 4 of the first 30 primes with
+        # exponents in -9..9 (never 0), drawn from random.Random(3)
+        primes = [p for p in range(2, 114) if all(p % q for q in range(2, p))]
+        rng = random.Random(3)
+        sets = []
+        for _ in range(2):
+            values = []
+            for _ in range(16):
+                v = Fraction(1)
+                for p in rng.sample(primes, 4):
+                    v *= Fraction(p) ** rng.choice([e for e in range(-9, 10) if e])
+                values.append(v)
+            sets.append(RationalEigenvalues(tuple(values)))
+        return sets
+
+    def test_verdicts_answer_without_a_witness(self):
+        for s1, s2 in (self.FORCED, self.random_generators()):
+            started = time.perf_counter()
+            assert weakly_commensurable(s1, s2) and groups_intersect(s1, s2)
+            with pytest.raises(ValueError, match=f"witness of more than {MAX_WITNESS_BITS} bits"):
+                intersection_witness(s1, s2)
+            assert time.perf_counter() - started < 2
+
+    def test_cli_lines_fail_cleanly(self):
+        hilbert = json.dumps({"argv": ["hilbert", "-1", "3", "3"]})
+        lines = []
+        for s1, s2 in (self.random_generators(), self.FORCED):
+            lines += [json.dumps({"argv": ["weakcomm", "--set1=" + ",".join(map(str, s1.values)),
+                                           "--set2=" + ",".join(map(str, s2.values))]}), hilbert]
+        started = time.perf_counter()
+        # the short timeout also caps the memory a runaway witness could take
+        proc = subprocess.run([sys.executable, "-m", "arithgenus.cli", "--batch"],
+                              input="\n".join(lines) + "\n", capture_output=True, text=True,
+                              timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        refused = {"ok": False, "error": f"witness of more than {MAX_WITNESS_BITS} bits refused; "
+                                         "the groups share an element of infinite order"}
+        assert [json.loads(line) for line in proc.stdout.splitlines()] == [
+            refused, {"ok": True, "result": -1}] * 2
+        assert time.perf_counter() - started < 10
+
+    def test_bound_counts_the_squaring(self):
+        # 2**(254*255) = 2**64770 is common to <2**255> and <2**254>; with
+        # the sign of -2**254 it is reconciled by squaring, to 129540 bits
+        assert intersection_witness(RationalEigenvalues.of(2**255),
+                                    RationalEigenvalues.of(2**254)) == Fraction(1, 2**64770)
+        with pytest.raises(ValueError, match="witness of more than 65536 bits"):
+            intersection_witness(RationalEigenvalues.of(2**255), RationalEigenvalues.of(-(2**254)))
+        assert weakly_commensurable(RationalEigenvalues.of(2**255),
+                                    RationalEigenvalues.of(-(2**254)))
+
+    def test_bound_is_inclusive(self, monkeypatch):
+        # 3**10 over 3**8 meet in 3**40, of 40 log2 3 = 63.4 bits
+        s1, s2 = RationalEigenvalues.of(3**10), RationalEigenvalues.of(3**8)
+        monkeypatch.setattr(weakcomm, "MAX_WITNESS_BITS", 64)
+        assert intersection_witness(s1, s2) == Fraction(1, 3**40)
+        monkeypatch.setattr(weakcomm, "MAX_WITNESS_BITS", 63)
+        with pytest.raises(ValueError, match="witness of more than 63 bits"):
+            intersection_witness(s1, s2)
+
+    @given(rational_sets(), rational_sets())
+    def test_matches_power_product_witness(self, s1, s2):
+        # the witness from the exponents equals the former power products,
+        # or is refused when those have more than MAX_WITNESS_BITS bits (even
+        # sets this small can need tens of thousands); the verdicts read the
+        # same common element
+        expected = oracles.witness_by_power_products(s1, s2)
+        if expected is not None and log2(abs(expected.numerator)) + log2(
+                expected.denominator) > MAX_WITNESS_BITS:
+            with pytest.raises(ValueError, match="witness of more than"):
+                intersection_witness(s1, s2)
+        else:
+            assert intersection_witness(s1, s2) == expected
+        assert groups_intersect(s1, s2) == (expected is not None)
+        assert weakly_commensurable(s1, s2) == (expected not in (None, -1))
