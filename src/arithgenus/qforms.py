@@ -13,6 +13,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, prod
 from typing import Union
 
@@ -24,7 +25,6 @@ from .arith import (
     hilbert_symbol,
     is_local_square,
     is_prime,
-    support_places,
 )
 from .brauer import BrauerClass, global_index
 
@@ -58,16 +58,32 @@ class QuadraticForm:
     def __str__(self) -> str:
         return ",".join(str(a) for a in self.coeffs)
 
+    @cached_property
+    def _invariants(self) -> LocalInvariants:  # form_invariants, once per form object
+        odd = [[p for p, e in factor(a).factors if e % 2] for a in self.coeffs]
+        classes = [(1 if a > 0 else -1) * prod(ps) for a, ps in zip(self.coeffs, odd)]
+        pairs, disc = [], classes[0]
+        for s in classes[1:]:
+            pairs.append((disc, s))
+            disc = disc * s // gcd(disc, s) ** 2  # squarefree, as disc and s are
+        places = (*(Place(p) for p in sorted({2}.union(*odd))), REAL_PLACE)
+        minus = tuple(v for v in places if prod(hilbert_symbol(d, s, v) for d, s in pairs) == -1)
+        positives = sum(1 for a in self.coeffs if a > 0)
+        return LocalInvariants(self.dim, disc, minus, (positives, self.dim - positives), places)
+
 
 @dataclass(frozen=True)
 class LocalInvariants:
     """Classifying data of a form: dimension, discriminant square class,
-    the places with Hasse invariant -1, and the real signature."""
+    the places with Hasse invariant -1, and the real signature, read at
+    ``places``: 2, the primes of odd exponent in a coefficient, and the real
+    place.  Equality ignores them, as <5,5> and <1,1> list different ones."""
 
     dim: int
     disc: int
     hasse_minus: tuple[Place, ...]
     signature: tuple[int, int]
+    places: tuple[Place, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         if self.signature[0] + self.signature[1] != self.dim:
@@ -82,17 +98,8 @@ def form_invariants(f: QuadraticForm) -> LocalInvariants:
     and the real signature, from one factorization of each coefficient: its
     sign and primes of odd exponent are its square class.  Off 2, the real
     place and those primes the Hasse invariant is +1; at each other place v
-    it is the product of the n - 1 symbols (a_1...a_{j-1}, a_j)_v."""
-    odd = [[p for p, e in factor(a).factors if e % 2] for a in f.coeffs]
-    classes = [(1 if a > 0 else -1) * prod(ps) for a, ps in zip(f.coeffs, odd)]
-    pairs, disc = [], classes[0]
-    for s in classes[1:]:
-        pairs.append((disc, s))
-        disc = disc * s // gcd(disc, s) ** 2  # squarefree, as disc and s are
-    places = [Place(p) for p in sorted({2}.union(*odd))] + [REAL_PLACE]
-    minus = tuple(v for v in places if prod(hilbert_symbol(d, s, v) for d, s in pairs) == -1)
-    positives = sum(1 for a in f.coeffs if a > 0)
-    return LocalInvariants(f.dim, disc, minus, (positives, f.dim - positives))
+    it is the product of the n - 1 symbols (a_1...a_{j-1}, a_j)_v.  Computed once per form."""
+    return f._invariants
 
 
 def _tuple_isotropic_local(n: int, disc: int, hasse: int, v: Place) -> bool:
@@ -137,13 +144,14 @@ def is_isotropic_global(f: QuadraticForm) -> bool:
 
 def witt_index_global(f: QuadraticForm) -> int:
     """Witt index over Q: the least local Witt index (Hasse-Minkowski; Lam,
-    Introduction to Quadratic Forms over Fields, ch. VI).  Off the relevant
-    places the form is unimodular with Hasse invariant +1, so its local index
-    there is the largest its discriminant allows; a discriminant that lowers
-    it is a non-square at the real place, at 2 or at one of its odd primes,
-    all of which are relevant."""
+    Introduction to Quadratic Forms over Fields, ch. VI) over the places of
+    its invariants.  At any other prime the form is, up to squares, unimodular
+    with Hasse invariant +1, so its local index there is the largest its
+    discriminant allows.  A discriminant that lowers it is not a square, so it
+    is a non-square at the real place, at 2 or at one of its odd primes, all
+    of which have odd exponent in some coefficient."""
     inv = form_invariants(f)
-    return min(_witt_index(inv, v) for v in support_places(*f.coeffs))
+    return min(_witt_index(inv, v) for v in inv.places)
 
 
 def forms_equivalent(f: QuadraticForm, g: QuadraticForm) -> bool:
@@ -161,9 +169,10 @@ def _forms_similar(f: QuadraticForm, g: QuadraticForm) -> bool:
     lam = inv_f.disc * inv_g.disc
     signature = inv_f.signature if lam > 0 else inv_f.signature[::-1]
     twist = (f.dim - 1) // 2
+    # off the places of f and g both Hasse invariants are +1 and lam is a unit
     return signature == inv_g.signature and all(
         inv_f.hasse_at(v) * hilbert_symbol(lam, -1, v) ** twist == inv_g.hasse_at(v)
-        for v in support_places(*f.coeffs, *g.coeffs))
+        for v in {*inv_f.places, *inv_g.places})
 
 
 # ---------------------------------------------------------------------------
@@ -211,16 +220,16 @@ def twins(b: GroupB, c: GroupC) -> bool:
     there.  An anisotropic C side at the real place is ramified there, and
     since invariants sum to 0 it is then ramified at a finite place as well,
     which already fails.  So the pair are twins exactly when the algebra is
-    trivial and the form has maximal Witt index at the real place and at
-    every finite place where it is not unimodular of odd residue
-    characteristic.
+    trivial and the form has maximal Witt index at the real place, at 2 and
+    at every prime of odd exponent in a coefficient.  At any other prime the
+    form of odd dimension is unimodular with Hasse invariant +1, hence split.
     """
     if b.rank != c.rank:
         raise ValueError(f"rank mismatch: B side has rank {b.rank}, C side {c.rank}")
     if not c.algebra.is_trivial():
         return False
     inv = form_invariants(b.form)
-    return all(_witt_index(inv, v) == b.rank for v in support_places(*b.form.coeffs))
+    return all(_witt_index(inv, v) == b.rank for v in inv.places)
 
 
 # ---------------------------------------------------------------------------
@@ -265,12 +274,12 @@ class ArithmeticTriple:
 
     def _warn_anisotropic_places(self):
         # S must avoid places where the group is anisotropic: S-arithmetic
-        # subgroups cannot detect such places
-        group, inv = self.group, None
+        # subgroups cannot detect such places; a form is read by its invariants
+        group = self.group
         if self.places and isinstance(group, (QuadraticForm, GroupB)):
-            inv = form_invariants(_group_form(group))
+            group = form_invariants(_group_form(group))
         for v in map(Place, sorted(self.places)):
-            if (_witt_index(inv, v) == 0 if inv is not None
+            if (_witt_index(group, v) == 0 if isinstance(group, LocalInvariants)
                     else isinstance(group, BrauerClass) and group.invariant_at(v) != 0):
                 warnings.warn(f"place {v} in S but the group is anisotropic there; it does "
                               "not change the commensurability class", stacklevel=4)

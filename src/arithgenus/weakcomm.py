@@ -17,12 +17,14 @@ from math import log2, prod
 from operator import mul
 from typing import Optional, Union
 
-from .arith import Rational, factor, is_prime
+from .arith import MAX_LITERAL_DIGITS, Rational, factor, is_prime
 from .quadfield import QuadUnit
 
 # Most bits, numerator and denominator together, of a witness that
-# intersection_witness builds (seed-0 benchmark witnesses have at most 862)
-MAX_WITNESS_BITS = 2**16
+# intersection_witness builds: one bit, a margin for the float sum, under
+# log2(10**MAX_LITERAL_DIGITS), so the CLI writes no more digits than it reads
+# (seed-0 benchmark witnesses have at most 862)
+MAX_WITNESS_BITS = int(MAX_LITERAL_DIGITS * log2(10)) - 1
 
 
 @dataclass(frozen=True)

@@ -596,6 +596,42 @@ def form_invariants_by_pairs(f):
     )
 
 
+def witt_index_over_support(f) -> int:
+    """The global Witt index as the least local index over support_places:
+    2, every prime dividing a coefficient and the real place (the former
+    qforms.witt_index_global, which did not stop at primes of odd exponent)."""
+    from arithgenus.arith import support_places
+    from arithgenus.qforms import witt_index_local
+
+    return min(witt_index_local(f, v) for v in support_places(*f.coeffs))
+
+
+def twins_over_support(b, c) -> bool:
+    """The twins test with the form's Witt index checked over support_places
+    (the former qforms.twins)."""
+    from arithgenus.arith import support_places
+    from arithgenus.qforms import witt_index_local
+
+    return c.algebra.is_trivial() and all(
+        witt_index_local(b.form, v) == b.rank for v in support_places(*b.form.coeffs))
+
+
+def similar_over_support(f, g) -> bool:
+    """Similarity by the one factor lam = disc f * disc g, with the Hasse
+    invariants compared over support_places of both forms' coefficients
+    (the former qforms._forms_similar)."""
+    from arithgenus.arith import hilbert_symbol, support_places
+    from arithgenus.qforms import form_invariants
+
+    inv_f, inv_g = form_invariants(f), form_invariants(g)
+    lam = inv_f.disc * inv_g.disc
+    signature = inv_f.signature if lam > 0 else inv_f.signature[::-1]
+    twist = (f.dim - 1) // 2
+    return signature == inv_g.signature and all(
+        inv_f.hasse_at(v) * hilbert_symbol(lam, -1, v) ** twist == inv_g.hasse_at(v)
+        for v in support_places(*f.coeffs, *g.coeffs))
+
+
 def similar_by_search(f, g) -> bool:
     """Similarity of two forms of equal odd dimension by trying every factor
     supported on -1, 2 and the odd primes of disc(f)*disc(g)."""

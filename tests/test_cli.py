@@ -199,6 +199,20 @@ class TestMainAndExitCodes:
         assert run_main(["triple", "--triple1=quat=-1,3;S=5", "--triple2=quat=2,3;S=5"],
                         capsys) == (0, '{"ok":true,"result":{"commensurable":true}}\n', "")
 
+    def test_triple_form_factoring_limit_keeps_its_routing(self, capsys, monkeypatch):
+        # a form's invariants are computed when first read: with S, by the S
+        # check while the triple is built (a usage error); without S, by the
+        # verdict when the command runs (a domain error)
+        monkeypatch.setattr(arith, "_RHO_BUDGET", 2**12)
+        semiprime = 1073741789 * 1073741783
+        error = f"factorization gave up: no factor of {semiprime} within 4096 rho iterations"
+        assert run_main(["triple", f"--triple1=form={semiprime},1,1;S=5",
+                         "--triple2=form=1,1,1;S=5"], capsys) == (
+            2, "", f'{{"ok":false,"error":"usage: {error}"}}\n')
+        for argv in (["triple", f"--triple1=form={semiprime},1,1", "--triple2=form=1,1,1"],
+                     ["triple", "--triple1=form=1,1,1", f"--triple2=form=1,-1,{semiprime}"]):
+            assert run_main(argv, capsys) == (1, f'{{"ok":false,"error":"{error}"}}\n', "")
+
     def test_determinism(self, capsys):
         argv = ["spectrum", "--algebra", "2:1/2,3:1/2", "--bound", "30"]
         _, first, _ = run_main(argv, capsys)

@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 import oracles
 from arithgenus import arith, cli, qforms
+from test_quadfield import count_everywhere
 from arithgenus.arith import Place, REAL_PLACE, hilbert_symbol, squarefree_part, support_places
 from arithgenus.brauer import BrauerClass, class_from_quaternion, parse_class
 from arithgenus.qforms import (
     ArithmeticTriple,
     GroupB,
     GroupC,
+    LocalInvariants,
     QuadraticForm,
     form_invariants,
     forms_equivalent,
@@ -590,6 +592,126 @@ class TestSquareClassProperties:
             lambda cs: QF(*cs))))
         assert forms_equivalent(g, f)
         assert forms_equivalent(g, h) == forms_equivalent(f, h)
+
+
+# ---------------------------------------------------------------------------
+# The places of the invariants against the full support of the coefficients
+
+# a square class times a square, so that a prime can divide a coefficient to
+# an even exponent (9*5, 4/25, 49*3, ...): there the two place lists differ
+SQUARE_CLASSES = st.sampled_from((-15, -6, -5, -3, -2, -1, 1, 2, 3, 5, 6, 7, 10, 11))
+PRIME_SQUARES = st.sampled_from((1, 4, 9, 25, 49, 121, 225, Fraction(4, 25), Fraction(1, 9),
+                                 Fraction(9, 49)))
+EVEN_EXPONENT_RATIONALS = st.builds(lambda c, s: c * Fraction(s), SQUARE_CLASSES, PRIME_SQUARES)
+ODD_DIMS = st.sampled_from((1, 3, 5, 7))
+
+
+def odd_exponent_places(f):
+    sympy = pytest.importorskip("sympy")
+    primes = {2}
+    for a in f.coeffs:
+        for n in (abs(a.numerator), a.denominator):
+            primes.update(p for p, e in sympy.factorint(n).items() if e % 2)
+    return (*map(Place, sorted(primes)), REAL_PLACE)
+
+
+@st.composite
+def split_or_drawn_forms(draw, dims=st.sampled_from((5, 7))):
+    """Forms of odd dimension: drawn coefficient by coefficient, or hyperbolic
+    pairs <a, -a*s> rescaled by squares plus one last coefficient."""
+    n = draw(dims)
+    if draw(st.booleans()):
+        return draw(forms(EVEN_EXPONENT_RATIONALS, st.just(n)))
+    coeffs = [draw(EVEN_EXPONENT_RATIONALS)]
+    for _ in range(n // 2):
+        a, s = draw(EVEN_EXPONENT_RATIONALS), draw(PRIME_SQUARES)
+        coeffs += [a, -a * s]
+    return QF(*draw(st.permutations(coeffs)))
+
+
+class TestPlacesOfOddExponent:
+    def test_equivalent_forms_list_different_places(self):
+        # 5 = 1 + 1*2**2, so <5,5> = <1,1>; <3,3> is not, with Hasse -1 at 2 and 3
+        f, g = QF(5, 5), QF(1, 1)
+        assert forms_equivalent(f, g) and not forms_equivalent(QF(3, 3), g)
+        assert form_invariants(f).places == (Place(2), Place(5), REAL_PLACE)
+        assert form_invariants(g).places == (Place(2), REAL_PLACE)
+
+    @given(forms(EVEN_EXPONENT_RATIONALS) | forms(RATIONALS, st.integers(1, 4)))
+    def test_places_are_two_odd_exponent_primes_and_real(self, f):
+        assert form_invariants(f).places == odd_exponent_places(f)
+
+    @given(forms(EVEN_EXPONENT_RATIONALS))
+    def test_witt_index_matches_full_support(self, f):
+        assert witt_index_global(f) == oracles.witt_index_over_support(f)
+
+    @given(split_or_drawn_forms(), st.sampled_from(
+        (BrauerClass(), class_from_quaternion(-1, 3), class_from_quaternion(-1, -1))))
+    def test_twins_match_full_support(self, form, algebra):
+        b = GroupB(form)
+        c = GroupC(algebra, b.rank)
+        assert twins(b, c) == oracles.twins_over_support(b, c) == oracles.twins_by_places(b, c)
+
+    @given(ODD_DIMS.flatmap(lambda n: st.tuples(*[forms(EVEN_EXPONENT_RATIONALS, st.just(n))] * 2)),
+           EVEN_EXPONENT_RATIONALS)
+    def test_similarity_matches_full_support(self, pair, lam):
+        f, g = pair
+        assert qforms._forms_similar(f, g) == oracles.similar_over_support(f, g)
+        assert qforms._forms_similar(f.scaled(lam), f)
+        assert oracles.similar_over_support(f.scaled(lam), f)
+
+    @pytest.mark.parametrize("classes, squares, dims", [
+        ((-5, -3, -2, -1, 1, 2, 3, 5), (1, 9, 25, 49, Fraction(1, 9)), (2, 3, 4)),
+        ((-3, -2, -1, 1, 2, 3), (1, 4, 9), (2, 3, 4, 5))])
+    def test_witt_index_matches_vector_splitting(self, classes, squares, dims):
+        # the search is exhaustive in its box only, so it misses planes of
+        # larger forms (it finds 1 of the 2 planes of <-245,1/3,294,-9,-8>)
+        rng = random.Random(RNG_SEED + 13)
+        for _ in range(120):
+            f = QF(*(rng.choice(classes) * rng.choice(squares) for _ in range(rng.choice(dims))))
+            assert witt_index_global(f) == oracles.witt_index_by_splitting(f.coeffs, bound=90), f
+
+
+class TestFactorizationCounts:
+    """Each coefficient is factored once per command, by the invariants of
+    its form, and every verdict reads the places those invariants carry."""
+
+    TRIPLE_S = ["triple", "--triple1=form=3,-5,7,-11,13;S=3,5", "--triple2=form=1,-1,1,-1,1;S=3,5"]
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize("argv, factored", [
+        (["form", "--form=3,5,7,11,13,17,19"], 7),
+        (TRIPLE_S, 10),
+        ([arg.partition(";")[0] for arg in TRIPLE_S], 10),
+        (["twins", "--form=3,5,7,11,13", "--algebra="], 5),
+        (["brauer", "--quaternion=12,-45"], 2)])
+    def test_factor_calls(self, monkeypatch, argv, factored):
+        calls = count_everywhere(monkeypatch, "factor")
+        assert reply(argv).startswith('{"ok":true,')
+        assert len(calls) == factored
+
+    def test_form_proves_each_place_once(self, monkeypatch):
+        # one proof per place: 2, 3, ..., 19
+        calls = count_everywhere(monkeypatch, "is_prime")
+        reply(["form", "--form=3,5,7,11,13,17,19"])
+        assert sorted(calls) == [2, 3, 5, 7, 11, 13, 17, 19]
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_invariants_built_once_per_form(self, monkeypatch):
+        built = []
+        post_init = LocalInvariants.__post_init__
+        monkeypatch.setattr(LocalInvariants, "__post_init__",
+                            lambda self: built.append(self) or post_init(self))
+        reply(["form", "--form=3,5,7,11,13,17,19"])
+        assert len(built) == 1
+        reply(self.TRIPLE_S)
+        assert len(built) == 3
+        assert [inv.places for inv in built[1:]] == [
+            (Place(2), Place(3), Place(5), Place(7), Place(11), Place(13), REAL_PLACE),
+            (Place(2), REAL_PLACE)]
+
+    def test_qforms_does_not_import_support_places(self):
+        assert not hasattr(qforms, "support_places")
 
 
 class TestRoundTrips:

@@ -117,19 +117,25 @@ def count_squarefree(monkeypatch):
     return calls
 
 
-def count_squarefree_everywhere(monkeypatch):
-    """Count is_squarefree calls through every binding of it in the package."""
+def count_everywhere(monkeypatch, function):
+    """Count calls of the arith function of that name through every binding
+    of it in the package; returns the list of first arguments."""
     calls = []
-    original = arith.is_squarefree
+    original = getattr(arith, function)
 
-    def counting(n):
+    def counting(n, *rest):
         calls.append(n)
-        return original(n)
+        return original(n, *rest)
 
     for name, module in list(sys.modules.items()):
-        if name.partition(".")[0] == "arithgenus" and vars(module).get("is_squarefree") is original:
-            monkeypatch.setattr(module, "is_squarefree", counting)
+        if name.partition(".")[0] == "arithgenus" and vars(module).get(function) is original:
+            monkeypatch.setattr(module, function, counting)
     return calls
+
+
+def count_squarefree_everywhere(monkeypatch):
+    """Count is_squarefree calls through every binding of it in the package."""
+    return count_everywhere(monkeypatch, "is_squarefree")
 
 
 class TestFundamentalUnit:

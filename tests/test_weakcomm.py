@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from arithgenus import weakcomm
+from arithgenus import cli, weakcomm
 from arithgenus.quadfield import fundamental_unit
 from arithgenus.weakcomm import (
     MAX_WITNESS_BITS,
@@ -449,14 +449,31 @@ class TestWitnessBound:
         assert time.perf_counter() - started < 10
 
     def test_bound_counts_the_squaring(self):
-        # 2**(254*255) = 2**64770 is common to <2**255> and <2**254>; with
-        # the sign of -2**254 it is reconciled by squaring, to 129540 bits
-        assert intersection_witness(RationalEigenvalues.of(2**255),
-                                    RationalEigenvalues.of(2**254)) == Fraction(1, 2**64770)
-        with pytest.raises(ValueError, match="witness of more than 65536 bits"):
-            intersection_witness(RationalEigenvalues.of(2**255), RationalEigenvalues.of(-(2**254)))
-        assert weakly_commensurable(RationalEigenvalues.of(2**255),
-                                    RationalEigenvalues.of(-(2**254)))
+        # 2**(119*120) = 2**14280 is common to <2**119> and <2**120>; with
+        # the sign of -2**120, raised to the odd power 119, it is reconciled
+        # by squaring, to 28560 bits
+        assert MAX_WITNESS_BITS == 14283
+        assert intersection_witness(RationalEigenvalues.of(2**119),
+                                    RationalEigenvalues.of(2**120)) == 2**14280
+        with pytest.raises(ValueError, match="witness of more than 14283 bits"):
+            intersection_witness(RationalEigenvalues.of(2**119), RationalEigenvalues.of(-(2**120)))
+        assert weakly_commensurable(RationalEigenvalues.of(2**119),
+                                    RationalEigenvalues.of(-(2**120)))
+
+    def test_witness_under_the_bound_prints(self, capsys):
+        # 2**14280 has 4299 digits, within what the CLI reads (4300)
+        assert cli.main(["weakcomm", f"--set1={2**119}", f"--set2={2**120}"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "ok": True, "result": {"weakly_commensurable": True, "witness": str(2**14280)}}
+
+    def test_unprintable_witness_is_refused(self, capsys):
+        # a 52010-bit witness from an unreduced kernel basis: its numerator or
+        # denominator has more digits than str() writes, so it is refused
+        assert cli.main(["weakcomm", "--set1=-625/312,-3455881/252,63504/25,-2162875/7",
+                         "--set2=10043726/38025,390000/539,-24/741125,81/4239235000"]) == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "ok": False, "error": "witness of more than 14283 bits refused; "
+                                  "the groups share an element of infinite order"}
 
     def test_bound_is_inclusive(self, monkeypatch):
         # 3**10 over 3**8 meet in 3**40, of 40 log2 3 = 63.4 bits
