@@ -47,7 +47,6 @@ from .spectrum import (
     SpectrumGenerator,
     WeylQuery,
     admissible_set,
-    geodesic_length,
     length_commensurable,
     spectrum_generators,
     weyl_main_term,

@@ -48,9 +48,11 @@ _SCALE = re.compile(r"(?:\.(\d+(?:_\d+)*))?(?:[eE][-+]?(\d+(?:_\d+)*))?\s*\Z")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Fraction(text), refused before any power of 10 is built when it has
-    more than MAX_LITERAL_DIGITS digits after the point or an exponent of
-    MAX_LITERAL_DIGITS or more in absolute value."""
+    """Fraction(text), by int() for a signed run of digits; refused before any
+    power of 10 is built when it has more than MAX_LITERAL_DIGITS digits after
+    the point or an exponent of MAX_LITERAL_DIGITS or more in absolute value."""
+    if (text[1:] if text[:1] in ("+", "-") else text).isdecimal():
+        return Fraction(int(text))
     if "e" in text or "E" in text or "." in text:
         fraction, exponent = _SCALE.search(text).groups(default="")
         exponent = exponent.replace("_", "").lstrip("0")

@@ -99,12 +99,6 @@ def embeds_quadratic(d: int, algebra: BrauerClass) -> bool:
         raise ValueError("algebra must be a quaternion division class (index 2)")
     if d in (0, 1) or not is_squarefree(d):
         raise ValueError("d must be squarefree and different from 0, 1")
-    return _embeds(d, algebra)
-
-
-def _embeds(d: int, algebra: BrauerClass) -> bool:
-    # embeds_quadratic for a quaternion class already checked; exact for any
-    # nonzero d, which is read through its integer only
     return all(not is_local_square(d, v) for v in algebra.support)
 
 

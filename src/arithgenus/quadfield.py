@@ -26,7 +26,7 @@ if TYPE_CHECKING:  # mpmath is imported where a real value is made, not at start
 MAX_D = 10**6
 # Most bits of any real value of a unit: eta, geodesic lengths and the
 # spectrum generators (the CLI's --prec and ARITHGENUS_PREC_BITS); a spectrum
-# at the bound limit and 1024 bits takes about 2 s
+# at the bound limit and 1024 bits takes about 1 s
 MAX_PREC_BITS = 1024
 _CF_ITERATION_CAP = 10**7
 

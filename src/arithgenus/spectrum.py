@@ -1,13 +1,13 @@
 """Geodesic lengths and rational length spectra of quaternionic surfaces.
 
 For a quaternion division algebra over Q split at the real place, the
-admissible d are the squarefree d > 1 with Q(sqrt(d)) a maximal subfield;
-each contributes the generator log(eta(d)) of a ray of rational lengths.
-By the class-number formula eta(d) = eps(d)^(2h), so a generator is the
-length of the closed geodesic of eps(d)^h; every length here is correctly
-rounded by interval enclosure.  Two surfaces of this family are
-length-commensurable exactly when their algebras are isomorphic (Reid;
-Prasad-Rapinchuk), that is, when the classes are equal.
+admissible d are the squarefree d > 1 with Q(sqrt(d)) a maximal subfield,
+sieved by residue classes; each contributes the generator log(eta(d)) of a
+ray of rational lengths.  By the class-number formula eta(d) = eps(d)^(2h),
+so a generator is the length of the closed geodesic of eps(d)^h; every
+length here is correctly rounded by interval enclosure.  Two surfaces of
+this family are length-commensurable exactly when their algebras are
+isomorphic (Reid; Prasad-Rapinchuk), that is, when the classes are equal.
 """
 
 from __future__ import annotations
@@ -17,9 +17,8 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .arith import is_squarefree
+from .arith import _jacobi
 from .brauer import BrauerClass, global_index
-from .genus import _embeds
 from .quadfield import (
     QuadField, QuadUnit, _bracket, _check_precision, _class_data, fundamental_unit,
 )
@@ -28,7 +27,7 @@ if TYPE_CHECKING:  # mpmath is imported where a real value is made, not at start
     import mpmath
 
 # Largest bound on d of the admissible set and the spectrum generators; at
-# 1024 bits (quadfield.MAX_PREC_BITS) the generators up to it take about 2 s
+# 1024 bits (quadfield.MAX_PREC_BITS) the generators up to it take about 1 s
 MAX_SPECTRUM_BOUND = 10**4
 
 
@@ -56,6 +55,12 @@ class SpectrumGenerator:
         if self.log_eta <= 0:
             raise ValueError("log eta must be positive")
 
+    @classmethod
+    def _proven(cls, d: int, log_eta: mpmath.mpf) -> "SpectrumGenerator":
+        generator = object.__new__(cls)  # the log of a unit > 1 is positive: no check
+        vars(generator).update(d=d, log_eta=log_eta)
+        return generator
+
 
 @dataclass(frozen=True)
 class WeylQuery:
@@ -74,30 +79,38 @@ class WeylQuery:
 
 def geodesic_length(g: HyperbolicGeodesic, precision: int = 128) -> mpmath.mpf:
     """(2/winding) * log(eigenvalue), the hyperbolic length, correctly rounded
-    to `precision` bits: the logs of the ends of the integer bracket of the
+    to `precision` bits by ``_rounded_logs``, which rounds the spectrum
+    generators too: the logs of the ends of the integer bracket of the
     eigenvalue, rounded down and up, enclose it, and each end of the
     enclosure is rounded once to nearest; the bracket widens until both
     round alike (Ziv, ACM TOMS 17, 1991).  Rounding is monotone, so the
     common value is the rounded length.  The log of an algebraic number other
     than 1 is transcendental, never a rounding boundary, so this ends.  The
-    enclosure trusts mpmath's mpf_log to round in the direction asked.
-    """
+    enclosure trusts mpmath's mpf_log to round in the direction asked."""
+    _check_precision(precision)
+    return _rounded_logs([g.eigenvalue], g.winding, precision)[0]
+
+
+def _rounded_logs(units: list[QuadUnit], winding: int, precision: int) -> list[mpmath.mpf]:
     from mpmath import mp
     from mpmath.libmp import (
         from_man_exp, mpf_div, mpf_log, round_ceiling, round_floor, round_nearest,
     )
 
-    _check_precision(precision)
-    half_winding = from_man_exp(g.winding, -1)  # (2/winding) * x = x / (winding/2)
-    bits = precision + 32  # the first width only sets the cost, not the result
-    while True:
-        n, k = _bracket(g.eigenvalue, bits)  # eigenvalue in (n, n + 1) * 2^-(k+1)
-        lo, hi = (mpf_div(mpf_log(from_man_exp(end, -k - 1), bits, rounding), half_winding,
-                          precision, round_nearest)
-                  for end, rounding in ((n, round_floor), (n + 1, round_ceiling)))
-        if lo == hi:
-            return mp.make_mpf(lo)
-        bits *= 2
+    half_winding = from_man_exp(winding, -1)  # (2/winding) * x = x / (winding/2)
+    logs = []
+    for u in units:
+        bits = precision + 32  # the first width only sets the cost, not the result
+        while True:
+            n, k = _bracket(u, bits)  # u in (n, n + 1) * 2^-(k+1)
+            lo, hi = (mpf_div(mpf_log(from_man_exp(end, -k - 1), bits, rounding), half_winding,
+                              precision, round_nearest)
+                      for end, rounding in ((n, round_floor), (n + 1, round_ceiling)))
+            if lo == hi:
+                break
+            bits *= 2
+        logs.append(mp.make_mpf(lo))
+    return logs
 
 
 def _check_surface_algebra(algebra: BrauerClass) -> None:
@@ -108,29 +121,36 @@ def _check_surface_algebra(algebra: BrauerClass) -> None:
 
 
 def admissible_set(algebra: BrauerClass, bound: int) -> list[int]:
-    """The squarefree d in [2, bound] with Q(sqrt(d)) a maximal subfield
-    (``embeds_quadratic``); the algebra and each d are checked once."""
+    """The squarefree d in [2, bound] with Q(sqrt(d)) a maximal subfield, by a
+    sieve: no multiple of a p^2, nor a nonzero square mod a ramified p (1 mod 8 at 2)."""
     _check_surface_algebra(algebra)
     if bound < 2:
         raise ValueError("bound must be at least 2")
     if bound > MAX_SPECTRUM_BOUND:
         raise ValueError(f"bound {bound} exceeds the supported bound {MAX_SPECTRUM_BOUND}")
-    return [d for d in range(2, bound + 1) if _embeds(d, algebra) and is_squarefree(d)]
+    sieve = bytearray([1]) * (bound + 1)
+    for p in range(2, math.isqrt(bound) + 1):
+        sieve[p * p::p * p] = bytes(len(range(p * p, bound + 1, p * p)))
+    for p in (v.prime for v in algebra.support):
+        step = 8 if p == 2 else p
+        for r in [1] if p == 2 else [r for r in range(1, min(p, bound + 1)) if _jacobi(r, p) == 1]:
+            sieve[r::step] = bytes(len(range(r, bound + 1, step)))
+    return [d for d in range(2, bound + 1) if sieve[d]]
 
 
-def spectrum_generators(
-    algebra: BrauerClass, bound: int, precision: int = 128
-) -> list[SpectrumGenerator]:
+def spectrum_generators(algebra: BrauerClass, bound: int,
+                        precision: int = 128) -> list[SpectrumGenerator]:
     """One generator (d, log eta(d)) per admissible d up to the bound, where
     log eta(d) = 2h * log eps(d) is the length of the geodesic of eps(d)^h,
-    correctly rounded by ``geodesic_length``."""
+    correctly rounded as by ``geodesic_length``."""
     _check_precision(precision)
-    generators = []
-    for d in admissible_set(algebra, bound):
-        eps = fundamental_unit(QuadField._known_squarefree(d))  # admissible_set tested d
-        geodesic = HyperbolicGeodesic(eps ** _class_data(eps).class_number)
-        generators.append(SpectrumGenerator(d, geodesic_length(geodesic, precision)))
-    return generators
+    admissible, units = admissible_set(algebra, bound), []
+    for d in admissible:
+        eps = fundamental_unit(QuadField._known_squarefree(d))  # admissible_set sieved d
+        h = _class_data(eps).class_number
+        units.append(eps if h == 1 else eps ** h)
+    return [SpectrumGenerator._proven(d, log_eta)
+            for d, log_eta in zip(admissible, _rounded_logs(units, 1, precision))]
 
 
 def default_commensurability_bound(a1: BrauerClass, a2: BrauerClass) -> int:

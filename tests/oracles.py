@@ -760,15 +760,26 @@ def twins_by_places(b, c) -> bool:
 # Closed forms of spectrum, recomputed by their former searches
 
 
+def admissible_set_by_local_squares(algebra, bound: int) -> list[int]:
+    """The squarefree d in [2, bound] that are a square at no ramified place
+    of the quaternion class, each d tested by itself: a local square test
+    per place, then a factorization."""
+    from arithgenus.arith import is_local_square, is_squarefree
+
+    return [d for d in range(2, bound + 1)
+            if all(not is_local_square(d, v) for v in algebra.support) and is_squarefree(d)]
+
+
 def spectrum_generators_by_sine_product(algebra, bound: int, precision: int = 128):
     """One generator (d, log eta(d)) per admissible d up to the bound, with
-    eta(d) evaluated as the sine product over the discriminant."""
+    the d tested one by one and eta(d) evaluated as the sine product over the
+    discriminant."""
     from mpmath import mp
 
-    from arithgenus.spectrum import SpectrumGenerator, admissible_set
+    from arithgenus.spectrum import SpectrumGenerator
 
     generators = []
-    for d in admissible_set(algebra, bound):
+    for d in admissible_set_by_local_squares(algebra, bound):
         eta = eta_by_sine_product(d, precision + 16)
         with mp.workprec(precision):
             generators.append(SpectrumGenerator(d, mp.log(eta)))

@@ -53,6 +53,41 @@ class TestParseRational:
         assert "denotes" not in str(refusal.value)
 
 
+def fraction_or_error(parse, text):
+    """The value of parse(text), or the type and text of what it raised."""
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+# a signed run of decimal digits, of any script: the texts read through int()
+signs = st.sampled_from(["", "+", "-"])
+ascii_digits = st.builds("{}{}".format, st.text("0", max_size=5),
+                         st.integers(0, 10**40).map(str))
+unicode_digits = st.text(st.characters(whitelist_categories=("Nd",)), min_size=1, max_size=30)
+
+
+class TestParseRationalFastPath:
+    @given(signs, st.one_of(ascii_digits, unicode_digits))
+    def test_digit_runs_read_like_fraction(self, sign, digits):
+        text = sign + digits
+        assert (text[1:] if sign else text).isdecimal()
+        got = arith.parse_rational(text)
+        assert got == Fraction(text) and type(got) is Fraction
+
+    @given(signs, st.sampled_from([4299, 4300, 4301]),
+           st.sampled_from(["1", "9", "\u0663", "\uff17"]))
+    def test_at_the_int_digit_limit_the_error_is_fractions(self, sign, length, digit):
+        text = sign + digit * length
+        assert fraction_or_error(arith.parse_rational, text) == fraction_or_error(Fraction, text)
+
+    @pytest.mark.parametrize("text", ["", "+", "-", "+-1", "--1", "-+1", " 12", "12 ", "1_000",
+                                      "12/1", "0x1f", "\u00b2", "1\u00b2", "\u2155"])
+    def test_other_text_keeps_fraction(self, text):
+        assert fraction_or_error(arith.parse_rational, text) == fraction_or_error(Fraction, text)
+
+
 class TestPlace:
     def test_finite_place_requires_prime(self):
         with pytest.raises(ValueError):

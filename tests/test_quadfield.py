@@ -117,11 +117,12 @@ def count_squarefree(monkeypatch):
     return calls
 
 
-def count_everywhere(monkeypatch, function):
-    """Count calls of the arith function of that name through every binding
-    of it in the package; returns the list of first arguments."""
+def count_everywhere(monkeypatch, function, home=arith):
+    """Count calls of the function of that name in `home` (a package module,
+    arith by default) through every binding of it in the package; returns
+    the list of first arguments."""
     calls = []
-    original = getattr(arith, function)
+    original = getattr(home, function)
 
     def counting(n, *rest):
         calls.append(n)

@@ -9,16 +9,16 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 import oracles
-from test_quadfield import count_squarefree_everywhere
-from arithgenus import brauer, cli, genus, quadfield, spectrum
-from arithgenus.arith import Place, is_squarefree, squarefree_part
+from test_quadfield import count_everywhere, count_squarefree_everywhere
+from arithgenus import brauer, cli, quadfield, spectrum
+from arithgenus.arith import Place, is_prime, is_squarefree, squarefree_part
 from arithgenus.brauer import (
     BrauerClass,
     class_from_invariants,
     class_from_quaternion,
     parse_class,
 )
-from arithgenus.genus import _embeds, embeds_quadratic
+from arithgenus.genus import embeds_quadratic
 from arithgenus.quadfield import (
     QuadField, QuadUnit, class_number, fundamental_unit, norm_one_unit,
 )
@@ -47,6 +47,29 @@ def verdicts(c1, c2, bound):
         length_commensurable(c1, c2),
         c1 == c2,
     )
+
+
+# the per-d tests the sieve replaced: no call of any is expected
+PER_D_TESTS = ("is_squarefree", "is_local_square", "factor")
+NO_PER_D_TESTS = {name: [] for name in PER_D_TESTS}
+
+
+def count_per_d_tests(monkeypatch):
+    return {name: count_everywhere(monkeypatch, name) for name in PER_D_TESTS}
+
+
+ODD_PRIMES_BELOW_100 = [p for p in range(3, 100, 2) if is_prime(p)]
+
+
+@st.composite
+def surface_classes(draw):
+    """Quaternion classes split at the real place, ramified at 2 or 4 primes
+    below 100, with or without 2."""
+    with_two = draw(st.booleans())
+    size = draw(st.sampled_from((2, 4))) - with_two
+    odd = draw(st.lists(st.sampled_from(ODD_PRIMES_BELOW_100), min_size=size, max_size=size,
+                        unique=True))
+    return quaternion_like([2] * with_two + odd)
 
 
 class TestGeodesicLength:
@@ -156,6 +179,21 @@ class TestCorrectRounding:
         assert geodesic_length(HyperbolicGeodesic(u), 96) == rounded_log(u, 2, 96)
         assert calls == [128, 256]
 
+    def test_generators_widen_the_enclosure_alike(self, monkeypatch):
+        # the same coarse first bracket, through spectrum_generators: d = 2
+        # is the only admissible d up to 2, with h = 1 and eta = eps(2)^2
+        calls = []
+        original = spectrum._bracket
+
+        def coarse_first(u, bits):
+            calls.append(bits)
+            return original(u, 8 if len(calls) == 1 else bits)
+
+        monkeypatch.setattr(spectrum, "_bracket", coarse_first)
+        [generator] = spectrum_generators(parse_class("2:1/2,3:1/2"), 2, 96)
+        assert (generator.d, generator.log_eta) == (2, rounded_log(fundamental_unit(2), 2, 96))
+        assert calls == [128, 256]
+
 
 class TestAdmissible:
     def test_examples(self):
@@ -202,29 +240,41 @@ class TestAdmissible:
                     assert embeds_quadratic(reduced, cls) == embeds_quadratic(d, cls)
 
     def test_each_d_and_the_algebra_checked_once(self, monkeypatch):
-        squarefree_calls, index_calls = [], []
-
-        def counting(calls, original):
-            def wrapper(*args):
-                calls.append(args)
-                return original(*args)
-            return wrapper
-
-        # each module holds its own binding of the names
-        for module in (spectrum, genus):
-            monkeypatch.setattr(module, "is_squarefree",
-                                counting(squarefree_calls, module.is_squarefree))
-            monkeypatch.setattr(module, "global_index",
-                                counting(index_calls, brauer.global_index))
+        # the sieve tests no single d: it factors nothing and asks no local
+        # square test; the algebra is checked once
         cls = parse_class("2:1/2,3:1/2")
+        per_d = count_per_d_tests(monkeypatch)
+        index_calls = count_everywhere(monkeypatch, "global_index", brauer)
         admissible = admissible_set(cls, 300)
-        # the local test comes first, so only the d that embed are factored
-        assert [d for (d,) in squarefree_calls] == [d for d in range(2, 301) if _embeds(d, cls)]
-        assert len(squarefree_calls) == 160 and len(admissible) == 95
-        assert len(index_calls) == 1
+        assert per_d == NO_PER_D_TESTS
+        assert len(index_calls) == 1 and len(admissible) == 95
         monkeypatch.undo()
+        assert admissible == oracles.admissible_set_by_local_squares(cls, 300)
         assert admissible == [d for d in range(2, 301)
                               if is_squarefree(d) and embeds_quadratic(d, cls)]
+
+    @given(surface_classes(), st.integers(2, spectrum.MAX_SPECTRUM_BOUND))
+    def test_sieve_matches_local_squares(self, cls, bound):
+        assert admissible_set(cls, bound) == oracles.admissible_set_by_local_squares(cls, bound)
+
+    @settings(max_examples=30)
+    @given(surface_classes())
+    def test_sieve_at_edge_bounds(self, cls):
+        # the first residues, 8 and 9 for the class mod 8 and 3^2, and p^2 with
+        # its neighbours, where the first multiple of p^2 and p^2 + 1 appear
+        primes = [v.prime for v in cls.support]
+        edges = sorted({2, 3, 8, 9} | {p * p + e for p in primes for e in (-1, 0, 1)})
+        want = oracles.admissible_set_by_local_squares(cls, edges[-1])
+        for bound in edges:
+            assert admissible_set(cls, bound) == [d for d in want if d <= bound], bound
+
+    def test_primes_above_the_bound(self):
+        # d <= bound < p is its own residue mod p; 2^61 - 1 is prime
+        for primes in ((2**61 - 1, 1_000_003), (2, 10007), (3, 2**61 - 1)):
+            cls = quaternion_like(primes)
+            for bound in (2, 97, 2000):
+                want = oracles.admissible_set_by_local_squares(cls, bound)
+                assert admissible_set(cls, bound) == want, (primes, bound)
 
 
 class TestSpectrumGenerators:
@@ -267,12 +317,30 @@ class TestSpectrumGenerators:
         assert len(gens) == len(calls) == 95
 
     def test_each_d_checked_once(self, monkeypatch):
-        calls = count_squarefree_everywhere(monkeypatch)
+        # no d is tested by itself: the sieve proved each squarefree, and the
+        # unit and class number take it on trust
         cls = parse_class("2:1/2,3:1/2")
+        per_d = count_per_d_tests(monkeypatch)
+        index_calls = count_everywhere(monkeypatch, "global_index", brauer)
+        unit_calls = count_everywhere(monkeypatch, "fundamental_unit", quadfield)
         gens = spectrum_generators(cls, 300)
-        assert calls == [d for d in range(2, 301) if _embeds(d, cls)]
+        assert per_d == NO_PER_D_TESTS
+        assert len(index_calls) == 1 and len(unit_calls) == len(gens) == 95
         monkeypatch.undo()
-        assert [g.d for g in gens] == admissible_set(parse_class("2:1/2,3:1/2"), 300)
+        assert [g.d for g in gens] == oracles.admissible_set_by_local_squares(cls, 300)
+
+    def test_generators_skip_the_public_checks(self, monkeypatch):
+        # the loop holds eps^h > 1 and log eta > 0 already; the public
+        # constructors keep their checks
+        built = []
+        for cls in (HyperbolicGeodesic, spectrum.SpectrumGenerator):
+            monkeypatch.setattr(cls, "__post_init__",
+                                lambda self, cls=cls: built.append(cls.__name__))
+        gens = spectrum_generators(parse_class("2:1/2,3:1/2"), 300)
+        assert len(gens) == 95 and built == []
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match="log eta must be positive"):
+            spectrum.SpectrumGenerator(2, mp.mpf(0))
 
     def test_bound_validation(self):
         cls = class_from_quaternion(-1, 3)
