@@ -23,7 +23,6 @@ _TRIAL_BOUND = 2**12
 # below psi_12 = 318665857834031151167461, which is composite.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_PROVEN_BOUND = 3317044064679887385961981
-_RHO_TRIES = 32
 # Brent-rho iterations one factorization may spend in total (about a second
 # in CPython); rho finds a prime factor p in about sqrt(p) iterations, so
 # every factor below about 2**34 is found well within it.
@@ -184,8 +183,8 @@ def _factor_positive(n: int) -> dict[int, int]:
 
     Trial division up to 2**12, then deterministic Brent-rho splitting with
     increasing increments and at most _RHO_BUDGET iterations in total.  A
-    composite that survives every attempt or the budget raises ValueError
-    rather than being reported as prime.
+    composite that survives the budget raises ValueError rather than being
+    reported as prime; every failed increment spends part of it.
     """
     _check_size(n)
     factors: dict[int, int] = {}
@@ -201,8 +200,7 @@ def _factor_positive(n: int) -> dict[int, int]:
         d += 2
     if n == 1:
         return factors
-    if d * d > n or is_prime(n):
-        # either below the trial bound squared (so prime) or certified prime
+    if d * d > n:  # no factor up to its square root: prime
         factors[n] = factors.get(n, 0) + 1
         return factors
     budget = _RHO_BUDGET
@@ -212,14 +210,12 @@ def _factor_positive(n: int) -> dict[int, int]:
         if is_prime(m):
             factors[m] = factors.get(m, 0) + 1
             continue
-        for c in range(1, _RHO_TRIES + 1):
+        g, c = m, 0
+        while not 1 < g < m:
+            c += 1
             g, steps = _brent_rho(m, c, budget)
             budget -= steps
-            if 1 < g < m:
-                stack.extend((g, m // g))
-                break
-        else:
-            raise ValueError(f"factorization failed: composite leftover {m}")
+        stack.extend((g, m // g))
     return factors
 
 

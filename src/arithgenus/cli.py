@@ -1,26 +1,24 @@
 """Command-line front end: one deterministic JSON report per command.
 
 Each verb is declared once, by decorating its handler with
-``_verb(name, help, *options, build=...)``.  The ``_opt`` options go to
-argparse's ``add_argument`` in order; argparse's error texts follow the order
-of verbs and options in this file.  ``build`` turns the parsed namespace into
-``Command.args`` and raises ``UsageError`` on bad input (so does a library
-``ValueError``).  The handler gets ``Command.args`` as keyword arguments and
-returns the JSON-ready result; an ``args["prec"]`` is echoed in the report.
+``_verb(name, help, *options, build=...)``.  An option is
+``_opt(*flags, dest=, type=, required=, switch=, help=)`` and nothing else:
+one positional name, or long ``--flags`` that take a value or, as a
+``switch``, none.  argparse's ``add_argument`` calls are made from these, in
+order, so argparse's texts follow the order of verbs and options here.
+``build`` turns the parsed namespace into ``Command.args`` and raises
+``UsageError`` on bad input (so does a library ``ValueError``); the handler
+gets ``Command.args`` as keyword arguments and returns the JSON-ready
+result.  An ``args["prec"]`` is echoed in the report.
 
-Two parsers read the table.  A direct parser, built once per verb, accepts a
-line only where argparse surely builds the same namespace: exact option
-names as ``--name=value`` or ``--name value``, positionals (negative numbers
-included), ``store_true``, ``type``, ``dest`` and ``required``.  Every other
-line (an abbreviation, a repeated or unknown option, a separate value that
-starts with "-", help, a missing option, a failed type, an option kwarg it
-does not model) goes to the argparse tree, built once per process when first
-needed, which stays the only source of usage-error text.
-
-Exit codes: 0 on success, 1 on a domain error, 2 on a usage error.  The env
-var ARITHGENUS_PREC_BITS overrides the default working precision; display
-output uses 50 significant digits.  ``--batch`` reads one command object per
-line from stdin ({"argv": [...]}) and never lets one bad line abort the stream.
+The direct parser reads each verb's flags, positionals, defaults, required
+set and types, gathered when the verb is registered.  It accepts a line only
+where argparse surely builds the same namespace: exact option names as
+``--name=value`` or ``--name value``, switches, and positionals (negative
+numbers included).  Every other line (an abbreviation, a repeated or unknown
+option, a separate value that starts with "-", help, a missing option, a
+failed type) goes to the argparse tree, built once per process when first
+needed, which stays the only source of usage-error and help text.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from . import brauer, genus, qforms, quadfield, spectrum, weakcomm
 from .arith import Place, hilbert_symbol, parse_rational
@@ -144,10 +142,8 @@ def _parse_triple(text: str) -> Callable[[], qforms.ArithmeticTriple]:
     elif "algebra" in fields:
         group = _class(fields["algebra"])
     elif "quat" in fields:
-        a, _, b = fields["quat"].partition(",")
-        quaternion = (_rational(a), _rational(b))
-        if 0 in quaternion:
-            raise UsageError("cannot factor 0")
+        a_text, _, b_text = fields["quat"].partition(",")
+        quaternion = _quaternion(a_text, b_text)
         # S is checked now, on the trivial class, which no place makes anisotropic
         qforms.ArithmeticTriple(brauer.BrauerClass(), tag, places)
         return lambda: qforms.ArithmeticTriple(
@@ -158,25 +154,29 @@ def _parse_triple(text: str) -> Callable[[], qforms.ArithmeticTriple]:
     return lambda: triple
 
 
+def _quaternion(a_text: str, b_text: str) -> tuple[Fraction, Fraction]:
+    quaternion = (_rational(a_text), _rational(b_text))
+    if 0 in quaternion:
+        raise UsageError("cannot factor 0")
+    return quaternion
+
+
 def _prec_bits(flag_value: int | None) -> int:
-    if flag_value is not None:
-        if flag_value < 64:
-            raise UsageError("precision must be at least 64 bits")
-        if flag_value > quadfield.MAX_PREC_BITS:
-            raise UsageError(f"precision must be at most {quadfield.MAX_PREC_BITS} bits")
-        return flag_value
-    env = os.environ.get("ARITHGENUS_PREC_BITS")
-    if env is not None:
+    # one range for --prec and ARITHGENUS_PREC_BITS; only the wording differs
+    bits, name, unit = flag_value, "precision", " bits"
+    if bits is None:
+        env = os.environ.get("ARITHGENUS_PREC_BITS")
+        if env is None:
+            return DEFAULT_PREC_BITS
         try:
-            bits = int(env)
+            bits, name, unit = int(env), "ARITHGENUS_PREC_BITS", ""
         except ValueError:
             raise UsageError(f"ARITHGENUS_PREC_BITS={env!r} is not an integer") from None
-        if bits < 64:
-            raise UsageError("ARITHGENUS_PREC_BITS must be at least 64")
-        if bits > quadfield.MAX_PREC_BITS:
-            raise UsageError(f"ARITHGENUS_PREC_BITS must be at most {quadfield.MAX_PREC_BITS}")
-        return bits
-    return DEFAULT_PREC_BITS
+    if bits < 64:
+        raise UsageError(f"{name} must be at least 64{unit}")
+    if bits > quadfield.MAX_PREC_BITS:
+        raise UsageError(f"{name} must be at most {quadfield.MAX_PREC_BITS}{unit}")
+    return bits
 
 
 def _decimal(value) -> str:
@@ -201,24 +201,52 @@ def _class_report(c: brauer.BrauerClass) -> dict[str, Any]:
 # so that rebinding a library name (as a tracer does) reaches every call.
 
 
+class _Option(NamedTuple):
+    flags: tuple[str, ...]  # empty for a positional
+    dest: str
+    type: Callable[[str], Any] | None
+    required: bool
+    switch: bool  # a flag that takes no value
+    help: str | None
+
+
+def _opt(*flags: str, dest: str | None = None, type: Callable[[str], Any] | None = None,
+         required: bool = False, switch: bool = False, help: str | None = None) -> _Option:
+    if not flags[0].startswith("-"):
+        if len(flags) > 1 or dest or required or switch:
+            raise ValueError(f"positional {flags[0]!r} takes only type= and help=")
+        return _Option((), flags[0], type, False, False, help)
+    if not all(f.startswith("--") and len(f) > 2 and "=" not in f for f in flags) or switch and type:
+        raise ValueError(f"{flags}: options are long flags, and a switch has no type")
+    return _Option(flags, dest or flags[0][2:].replace("-", "_"), type, required, switch, help)
+
+
 @dataclass(frozen=True)
 class _Verb:
     help: str
-    options: tuple[tuple[tuple[str, ...], dict[str, Any]], ...]
+    options: tuple[_Option, ...]
     build: Callable[[argparse.Namespace], dict[str, Any]]
     run: Callable[..., Any]
+    # what the direct parser reads, gathered once when the verb is registered
+    positionals: tuple[str, ...]  # dests, in order
+    flags: dict[str, tuple[str, bool]]  # flag: (dest, whether it takes a value)
+    defaults: dict[str, Any]
+    required: frozenset[str]
+    types: dict[str, Callable[[str], Any]]  # dest: type
 
 
 _VERBS: dict[str, _Verb] = {}
 
 
-def _opt(*flags: str, **kwargs: Any) -> tuple[tuple[str, ...], dict[str, Any]]:
-    return flags, kwargs
-
-
-def _verb(name: str, help: str, *options, build):
+def _verb(name: str, help: str, *options: _Option, build):
     def register(run):
-        _VERBS[name] = _Verb(help, options, build, run)
+        named = [o for o in options if o.flags]
+        _VERBS[name] = _Verb(
+            help, options, build, run, tuple(o.dest for o in options if not o.flags),
+            {flag: (o.dest, not o.switch) for o in named for flag in o.flags},
+            {o.dest: False if o.switch else None for o in named},
+            frozenset(o.dest for o in named if o.required),
+            {o.dest: o.type for o in options if o.type is not None})
         return run
 
     return register
@@ -249,9 +277,7 @@ def _brauer_args(ns) -> dict[str, Any]:
         a_text, sep, b_text = ns.quaternion.partition(",")
         if not sep:
             raise UsageError("--quaternion expects 'a,b'")
-        quaternion = (_rational(a_text), _rational(b_text))
-        if 0 in quaternion:
-            raise UsageError("cannot factor 0")
+        quaternion = _quaternion(a_text, b_text)
     return {"algebra": _class(ns.algebra) if quaternion is None else None,
             "quaternion": quaternion, "add": _class(ns.add) if ns.add is not None else None,
             "neg": ns.neg}
@@ -261,7 +287,7 @@ def _brauer_args(ns) -> dict[str, Any]:
        _opt("--algebra", help="class string, e.g. 2:1/3,3:1/3,5:1/3"),
        _opt("--quaternion", help="a,b for the quaternion class (a,b)"),
        _opt("--add", help="class string to add"),
-       _opt("--neg", action="store_true", help="negate (opposite algebra)"), build=_brauer_args)
+       _opt("--neg", switch=True, help="negate (opposite algebra)"), build=_brauer_args)
 def _brauer(algebra, quaternion, add, neg):
     # the quaternion class is built here, so a factoring limit is a domain error
     base = algebra if quaternion is None else brauer.class_from_quaternion(*quaternion)
@@ -293,7 +319,7 @@ def _family(primes):
 
 
 @_verb("unit", "fundamental unit of Q(sqrt(d))", _D_OPT,
-       _opt("--norm-one", action="store_true", help="smallest unit of norm +1"),
+       _opt("--norm-one", switch=True, help="smallest unit of norm +1"),
        build=lambda ns: {"field": _quad_field(ns.d), "norm_one": ns.norm_one})
 def _unit(field, norm_one):
     u = quadfield.norm_one_unit(field) if norm_one else quadfield.fundamental_unit(field)
@@ -373,7 +399,7 @@ def _twins_args(ns) -> dict[str, Any]:
 
 
 @_verb("twins", "twins test for a B/C pair", _opt("--form", required=True, dest="form_text"),
-       _opt("--algebra", required=True), _opt("--real-definite", action="store_true"),
+       _opt("--algebra", required=True), _opt("--real-definite", switch=True),
        build=_twins_args)
 def _twins(b, algebra, real_definite):
     return {"twins": qforms.twins(b, qforms.GroupC(algebra, b.rank, real_definite))}
@@ -407,64 +433,29 @@ def _weyl(query):
 
 @functools.cache
 def _parser() -> _Parser:
-    parser = _Parser(prog="arithgenus", description=__doc__)
+    parser = _Parser(prog="arithgenus", description=(
+        "Exact arithmetic over Q for commensurability of arithmetic groups; each command "
+        "prints one JSON report. Exit codes: 0 on success, 1 on a domain error, 2 on a usage "
+        "error. ARITHGENUS_PREC_BITS sets the default working precision in bits. With --batch, "
+        'each stdin line {"argv": [...]} gets one reply line, and a bad line never stops the '
+        "stream."))
     parser.add_argument("--batch", action="store_true", help="read {'argv': [...]} JSON lines from stdin")
     sub = parser.add_subparsers(dest="verb")
     for name, verb in _VERBS.items():
         p = sub.add_parser(name, help=verb.help)
-        for flags, kwargs in verb.options:
-            p.add_argument(*flags, **kwargs)
+        for o in verb.options:
+            if not o.flags:
+                p.add_argument(o.dest, type=o.type, help=o.help)
+            else:
+                kind = {"action": "store_true"} if o.switch else {"type": o.type}
+                p.add_argument(*o.flags, dest=o.dest, required=o.required, help=o.help, **kind)
     return parser
 
 
 # ---------------------------------------------------------------------------
-# The direct parser.  It reads the same verb table as argparse and accepts a
-# line only where argparse surely builds the same namespace; it returns None
-# ("undecided") on anything else, and argparse then parses the line, so that
-# argparse stays the only source of usage-error text.
-
-# argparse's own test for a token that is a negative number, not an option
+# The direct parser; it returns None ("undecided") where argparse must parse.
+# argparse's own test for a token that is a negative number, not an option:
 _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
-_MODELLED_KWARGS = {"type", "dest", "required", "action", "help"}
-
-
-@dataclass(frozen=True)
-class _DirectVerb:
-    positionals: tuple[str, ...]  # dests, in order
-    options: dict[str, tuple[str, bool]]  # flag: (dest, whether it takes a value)
-    types: dict[str, Callable[[str], Any]]  # dest: type
-    defaults: dict[str, Any]
-    required: frozenset[str]
-
-
-@functools.cache
-def _direct_verb(name: str) -> _DirectVerb | None:
-    """The verb's options as the direct parser reads them, or None when an
-    option uses anything it does not model (``choices``, ``nargs``,
-    ``default``, another action, a short flag...)."""
-    positionals, options, types, defaults, required = [], {}, {}, {}, set()
-    for flags, kwargs in _VERBS[name].options:
-        if not kwargs.keys() <= _MODELLED_KWARGS:
-            return None
-        if len(flags) == 1 and not flags[0].startswith("-"):
-            if kwargs.keys() - {"type", "help"}:
-                return None
-            dest = flags[0]
-            positionals.append(dest)
-        elif all(flag.startswith("--") and len(flag) > 2 and "=" not in flag for flag in flags):
-            dest = kwargs.get("dest") or flags[0][2:].replace("-", "_")
-            takes_value = "action" not in kwargs
-            if not takes_value and (kwargs["action"] != "store_true" or "type" in kwargs):
-                return None
-            options.update((flag, (dest, takes_value)) for flag in flags)
-            defaults[dest] = None if takes_value else False
-            if kwargs.get("required"):
-                required.add(dest)
-        else:
-            return None
-        if "type" in kwargs:
-            types[dest] = kwargs["type"]
-    return _DirectVerb(tuple(positionals), options, types, defaults, frozenset(required))
 
 
 def _parse_direct(argv: list[str]) -> argparse.Namespace | None:
@@ -474,10 +465,10 @@ def _parse_direct(argv: list[str]) -> argparse.Namespace | None:
     required option, a wrong positional count or a failed type conversion."""
     if argv == ["--batch"]:
         return argparse.Namespace(batch=True, verb=None)
-    spec = _direct_verb(argv[0]) if argv and argv[0] in _VERBS else None
-    if spec is None:
+    verb = _VERBS.get(argv[0]) if argv else None
+    if verb is None:
         return None
-    values: dict[str, Any] = {"batch": False, "verb": argv[0], **spec.defaults}
+    values: dict[str, Any] = {"batch": False, "verb": argv[0], **verb.defaults}
     given: set[str] = set()
     positional: list[str] = []
     i, end = 1, len(argv)
@@ -488,7 +479,7 @@ def _parse_direct(argv: list[str]) -> argparse.Namespace | None:
             positional.append(token)
             continue
         flag, eq, value = token.partition("=")
-        dest, takes_value = spec.options.get(flag, (None, False))
+        dest, takes_value = verb.flags.get(flag, (None, False))
         # unknown, abbreviated, repeated, a flag given a value, or "--name=--",
         # which argparse reads as []
         if dest is None or dest in given or eq and not takes_value or value == "--":
@@ -503,11 +494,11 @@ def _parse_direct(argv: list[str]) -> argparse.Namespace | None:
             value = argv[i]
             i += 1
         values[dest] = value
-    if len(positional) != len(spec.positionals) or not spec.required <= given:
+    if len(positional) != len(verb.positionals) or not verb.required <= given:
         return None
-    values.update(zip(spec.positionals, positional))
+    values.update(zip(verb.positionals, positional))
     try:
-        for dest, convert in spec.types.items():
+        for dest, convert in verb.types.items():
             if values[dest] is not None:
                 values[dest] = convert(values[dest])
     except (TypeError, ValueError):

@@ -164,10 +164,19 @@ class TestFactor:
         monkeypatch.undo()
         assert factor(p * q).factors == ((q, 1), (p, 1))
 
-    def test_rho_failure_raises_value_error(self, monkeypatch):
-        monkeypatch.setattr(arith, "_RHO_TRIES", 0)
-        with pytest.raises(ValueError, match="composite leftover 1000036000099"):
-            factor(1_000_003 * 1_000_033)
+    def test_one_primality_proof_per_cofactor(self, monkeypatch):
+        # the composite left after trial division is tested once, then each
+        # of its two prime factors
+        calls = []
+        original = arith.is_prime
+
+        def counting(n):
+            calls.append(n)
+            return original(n)
+
+        monkeypatch.setattr(arith, "is_prime", counting)
+        assert factor(524309 * 1048571).factors == ((524309, 1), (1048571, 1))
+        assert sorted(calls) == [524309, 1048571, 524309 * 1048571]
 
 
 class TestSquarefree:

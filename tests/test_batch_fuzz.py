@@ -54,13 +54,13 @@ def test_fuzzed_stream_answers_every_line(batch):
             assert report == {"ok": True, "result": -1}
 
 
-def test_fuzzed_stream_through_a_real_process():
+def test_fuzzed_stream_through_a_real_process(child_env):
     batch = ['{"argv": ["--batch"]}', "{", '{"argv": ["hilbert", "--help"]}', "\t",
              '{"argv": "hilbert"}', "[]", '{"argv": ["hilbert", "1e2000000", "3", "5"]}',
              '{"argv": ["eta", "--d", "-5"]}', "[" * 100000, json.dumps({"argv": GOOD})]
     proc = subprocess.run([sys.executable, "-m", "arithgenus.cli", "--batch"],
                           input="\n".join(batch) + "\n", capture_output=True, text=True,
-                          timeout=60)
+                          timeout=60, env=child_env)
     assert proc.returncode == 0, proc.stderr
     replies = [json.loads(line) for line in proc.stdout.splitlines()]
     assert len(replies) == len(nonblank("\n".join(batch)))

@@ -339,7 +339,7 @@ class TestBatch:
             "",
         )
 
-    def test_over_limit_lines_fail_cleanly(self):
+    def test_over_limit_lines_fail_cleanly(self, child_env):
         # 2**29 sign choices, and a 126-bit semiprime of two 63-bit primes
         # that Brent rho cannot split within its budget
         first_30_primes = [p for p in range(2, 114) if all(p % q for q in range(2, p))]
@@ -352,7 +352,7 @@ class TestBatch:
         start = time.perf_counter()
         proc = subprocess.run([sys.executable, "-m", "arithgenus.cli", "--batch"],
                               input="\n".join(lines) + "\n", capture_output=True, text=True,
-                              timeout=60)
+                              timeout=60, env=child_env)
         elapsed = time.perf_counter() - start
         assert proc.returncode == 0, proc.stderr
         replies = [json.loads(line) for line in proc.stdout.splitlines()]
@@ -383,7 +383,7 @@ class TestBatch:
             {"ok": False, "error": f"usage: {cap}"}, {"ok": True, "result": -1},
         ]
 
-    def test_exponent_notation_fails_fast(self):
+    def test_exponent_notation_fails_fast(self, child_env):
         # Fraction("1e2000000") builds 10**2000000, and the valuation at 5
         # then divides two million times: over 90 s before the bound
         lines = [json.dumps({"argv": ["hilbert", "1e2000000", "3", "5"]}),
@@ -391,7 +391,7 @@ class TestBatch:
         start = time.perf_counter()
         proc = subprocess.run([sys.executable, "-m", "arithgenus.cli", "--batch"],
                               input="\n".join(lines) + "\n", capture_output=True, text=True,
-                              timeout=60)
+                              timeout=60, env=child_env)
         assert time.perf_counter() - start < 2
         assert [json.loads(line) for line in proc.stdout.splitlines()] == [
             {"ok": False,
@@ -429,7 +429,7 @@ class TestBatch:
             "",
         )
 
-    def test_mpmath_is_imported_only_for_real_values(self):
+    def test_mpmath_is_imported_only_for_real_values(self, child_env):
         script = (
             "import io, json, sys\n"
             "import arithgenus.cli as cli\n"
@@ -439,10 +439,10 @@ class TestBatch:
             "print(ask(['hilbert', '2', '3', 'inf']), ask(['eta', '--d', '5']))\n"
         )
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              timeout=60)
+                              timeout=60, env=child_env)
         assert proc.stdout.split() == ["False", "True"], proc.stderr
 
-    def test_spectrum_and_precision_limits_fail_cleanly(self):
+    def test_spectrum_and_precision_limits_fail_cleanly(self, child_env):
         # without the limits, the bound alone would run for hours
         hilbert = json.dumps({"argv": ["hilbert", "-1", "3", "3"]})
         lines = [json.dumps({"argv": ["spectrum", "--algebra=2:1/2,3:1/2", "--bound=100000000"]}),
@@ -453,7 +453,7 @@ class TestBatch:
         start = time.perf_counter()
         proc = subprocess.run([sys.executable, "-m", "arithgenus.cli", "--batch"],
                               input="\n".join(lines) + "\n", capture_output=True, text=True,
-                              timeout=60)
+                              timeout=60, env=child_env)
         elapsed = time.perf_counter() - start
         assert proc.returncode == 0, proc.stderr
         replies = [json.loads(line) for line in proc.stdout.splitlines()]
@@ -721,11 +721,12 @@ class TestGolden:
         assert run_main(["--batch"], capsys) == (0, replies, "")
 
 
-def test_installed_entry_point_runs():
+def test_installed_entry_point_runs(child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "arithgenus.cli", "hilbert", "-1", "3", "3"],
         capture_output=True,
         text=True,
+        env=child_env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"ok": True, "result": -1}

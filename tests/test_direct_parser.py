@@ -1,8 +1,9 @@
 """The direct parser of batch lines against argparse.
 
 ``cli._parse_direct`` may only accept a line when argparse builds the same
-namespace from it; every other line is left to argparse (``None``).  The
-properties fuzz argv built from the real verb table: well-formed lines, then
+namespace from it; every other line is left to argparse (``None``).  Both
+parsers are made from the same ``_opt`` declarations.  The properties fuzz
+argv built from the real verb table: well-formed lines, then
 abbreviations, repeats, separate values, negative numbers, values that start
 with "-", missing values, "-h", "--" and unknown tokens spliced in."""
 
@@ -30,8 +31,7 @@ SPECIALS = ["-h", "--help", "--", "--batch", "-", "--unknown", "-x", "--=x", "-1
 
 
 def _flags(verbs):
-    return sorted({flag for name in verbs for flags, _ in cli._VERBS[name].options
-                   for flag in flags if flag.startswith("--")})
+    return sorted({flag for name in verbs for o in cli._VERBS[name].options for flag in o.flags})
 
 
 @st.composite
@@ -40,13 +40,13 @@ def argvs(draw, verbs):
     the others, each value in either form), then up to three edits."""
     verb = draw(st.sampled_from(verbs))
     positionals, options = [], []
-    for flags, kwargs in cli._VERBS[verb].options:
-        values = st.sampled_from(VALUES[kwargs.get("type")])
-        if not flags[0].startswith("-"):
+    for o in cli._VERBS[verb].options:
+        values = st.sampled_from(VALUES[o.type])
+        if not o.flags:
             positionals.append([draw(values)])
-        elif kwargs.get("required") or draw(st.booleans()):
-            flag = draw(st.sampled_from(flags))
-            if kwargs.get("action") == "store_true":
+        elif o.required or draw(st.booleans()):
+            flag = draw(st.sampled_from(o.flags))
+            if o.switch:
                 options.append([flag])
             elif draw(st.booleans()):
                 options.append([f"{flag}={draw(values)}"])
@@ -105,22 +105,20 @@ def test_negative_number_test_is_argparses():
 
 @contextlib.contextmanager
 def extra_verb(name, *options):
-    """The verb table with one more verb, and both parsers built anew."""
-    cli._VERBS[name] = cli._Verb("test verb", options, lambda ns: {}, lambda: None)
+    """The verb table with one more verb, and argparse built anew."""
+    cli._verb(name, "test verb", *options, build=lambda ns: {})(lambda: None)
     cli._parser.cache_clear()
-    cli._direct_verb.cache_clear()
     try:
         yield
     finally:
         del cli._VERBS[name]
         cli._parser.cache_clear()
-        cli._direct_verb.cache_clear()
 
 
 def test_positionals_among_options_agree_with_argparse():
     # no verb of the table mixes positionals and options, or has a required
     # store_true; this one does
-    with extra_verb("mixed", _opt("n", type=int), _opt("--flag", action="store_true", required=True),
+    with extra_verb("mixed", _opt("n", type=int), _opt("--flag", switch=True, required=True),
                     _opt("--x-y", "--xy", dest="xy"), _opt("word"), _opt("--f", type=float)):
         accepted = []
 
@@ -136,25 +134,33 @@ def test_positionals_among_options_agree_with_argparse():
 
 
 @pytest.mark.parametrize("option", [
-    _opt("--n", type=int, choices=[1, 2]),
-    _opt("--n", nargs="?"),
-    _opt("--n", default="7"),
-    _opt("--n", action="count"),
-    _opt("--n", action="store_const", const=3),
-    _opt("-n", type=int),
-    _opt("n", nargs="*"),
+    (("--n",), {"type": int, "choices": [1, 2]}, TypeError),
+    (("--n",), {"nargs": "?"}, TypeError),
+    (("--n",), {"default": "7"}, TypeError),
+    (("--n",), {"action": "count"}, TypeError),
+    (("--n",), {"action": "store_const", "const": 3}, TypeError),
+    (("-n",), {"type": int}, ValueError),
+    (("n",), {"nargs": "*"}, TypeError),
 ])
-def test_unmodelled_option_is_left_to_argparse(option):
-    argv_by_flag = {"--n": ["plain", "--n", "1"], "-n": ["plain", "-n", "1"], "n": ["plain", "1"]}
-    with extra_verb("plain", _opt("--other"), option):
-        assert cli._direct_verb("plain") is None
-        for argv in (["plain"], argv_by_flag[option[0][0]], ["plain", "--other=x"]):
-            assert cli._parse_direct(argv) is None
-            with contextlib.redirect_stdout(io.StringIO()):
-                try:
-                    cli._parser().parse_args(argv)
-                except cli.UsageError:
-                    pass
+def test_unmodelled_option_is_refused(option):
+    # an option has only the terms both parsers read, so none is declared
+    # that only argparse would understand
+    flags, kwargs, error = option
+    with pytest.raises(error):
+        _opt(*flags, **kwargs)
+
+
+@pytest.mark.parametrize("flags,kwargs", [
+    (("--n", "-n"), {}), (("--",), {}), (("--n=1",), {}), (("--n", "-"), {}),
+    (("--n",), {"switch": True, "type": int}),
+    (("n", "m"), {}), (("n",), {"dest": "m"}), (("n",), {"required": True}),
+    (("n",), {"switch": True}),
+])
+def test_option_outside_the_grammar_is_refused(flags, kwargs):
+    # a short flag, an "=" in a flag, a typed switch, or a positional with
+    # option terms
+    with pytest.raises(ValueError):
+        _opt(*flags, **kwargs)
 
 
 WELL_FORMED = [

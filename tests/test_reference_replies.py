@@ -1,6 +1,7 @@
-"""Replay the start of the benchmark's default-seed streams, and every line of
-the quadratic-form and quaternion verbs in them, through the batch loop and
-compare each reply with the hash recorded in ``perfbench/reference/``.  The
+"""Replay the start of the benchmark's default-seed streams, every line of the
+quadratic-form and quaternion verbs in them, and every line that argparse
+parses, through the batch loop and compare each reply with the hash recorded
+in ``perfbench/reference/``.  The
 generator (``perfbench/workloads.py``) is read without importing it as a
 module or writing bytecode."""
 
@@ -81,4 +82,18 @@ def test_every_form_and_quaternion_line_matches(workload, references):
     lines, recorded = references[workload]
     indices = [i for i, line in enumerate(lines) if line.argv and line.argv[0] in FULL_REPLAY]
     assert indices
+    assert mismatched_replies(lines, recorded, indices) == []
+
+
+# the lines that argparse parses: an unknown verb, or hilbert with two
+# positionals; they guard argparse's error texts byte for byte
+ARGPARSE_LINES = {"batch_mix": 424, "heavy_math": 0}
+
+
+@pytest.mark.parametrize("workload", sorted(REPLAYED))
+def test_every_argparse_line_matches(workload, references):
+    lines, recorded = references[workload]
+    indices = [i for i, line in enumerate(lines)
+               if line.argv is not None and cli._parse_direct(list(line.argv)) is None]
+    assert len(indices) == ARGPARSE_LINES[workload]
     assert mismatched_replies(lines, recorded, indices) == []

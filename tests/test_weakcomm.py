@@ -430,7 +430,7 @@ class TestWitnessBound:
                 intersection_witness(s1, s2)
             assert time.perf_counter() - started < 2
 
-    def test_cli_lines_fail_cleanly(self):
+    def test_cli_lines_fail_cleanly(self, child_env):
         hilbert = json.dumps({"argv": ["hilbert", "-1", "3", "3"]})
         lines = []
         for s1, s2 in (self.random_generators(), self.FORCED):
@@ -440,7 +440,7 @@ class TestWitnessBound:
         # the short timeout also caps the memory a runaway witness could take
         proc = subprocess.run([sys.executable, "-m", "arithgenus.cli", "--batch"],
                               input="\n".join(lines) + "\n", capture_output=True, text=True,
-                              timeout=20)
+                              timeout=20, env=child_env)
         assert proc.returncode == 0, proc.stderr
         refused = {"ok": False, "error": f"witness of more than {MAX_WITNESS_BITS} bits refused; "
                                          "the groups share an element of infinite order"}
