@@ -43,7 +43,6 @@ from .quadfield import (
     unit_real_value,
 )
 from .spectrum import (
-    HyperbolicGeodesic,
     SpectrumGenerator,
     WeylQuery,
     admissible_set,
@@ -52,9 +51,7 @@ from .spectrum import (
     weyl_main_term,
 )
 from .weakcomm import (
-    EigenvalueSet,
     ExponentVector,
-    QuadraticEigenvalues,
     RationalEigenvalues,
     groups_intersect,
     intersection_witness,

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Union
+from typing import Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -239,16 +239,6 @@ class Factorization:
         if any(e == 0 for _, e in self.factors):
             raise ValueError("exponents must be nonzero")
 
-    def value(self) -> Fraction:
-        v = Fraction(self.sign)
-        for p, e in self.factors:
-            v *= Fraction(p) ** e
-        return v
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
 
 def factor(q: Rational) -> Factorization:
     """Exact signed factorization of a nonzero rational."""
@@ -258,6 +248,17 @@ def factor(q: Rational) -> Factorization:
     exponents = _factor_positive(abs(q.numerator))
     exponents.update((p, -e) for p, e in _factor_positive(q.denominator).items())
     return Factorization(1 if q > 0 else -1, tuple(sorted(exponents.items())))
+
+
+def _prime_powers(values: Sequence[Rational]) -> list[tuple[tuple[int, int], ...]]:
+    """factor(q).factors for each q, from one factorization of each distinct
+    |q| in first-occurrence order, so the first refused value is reported."""
+    keys = [(abs(q.numerator), q.denominator) for q in values]  # cheaper to hash than q
+    known: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+    for key, q in zip(keys, values):
+        if key not in known:
+            known[key] = factor(q).factors
+    return [known[key] for key in keys]
 
 
 def squarefree_part(n: int) -> int:
@@ -412,7 +413,5 @@ def support_places(*values: Rational) -> list[Place]:
 
     Hilbert symbols of the values are +1 at every place outside this list.
     """
-    primes = {2}
-    for q in values:
-        primes.update(factor(q).support)
+    primes = {2}.union(*([p for p, _ in powers] for powers in _prime_powers(values)))
     return [Place(p) for p in sorted(primes)] + [REAL_PLACE]

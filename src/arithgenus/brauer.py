@@ -68,12 +68,6 @@ class BrauerClass:
     def local_index(self, v: Place) -> int:
         return self.invariant_at(v).denominator
 
-    def __add__(self, other: "BrauerClass") -> "BrauerClass":
-        return class_add(self, other)
-
-    def __neg__(self) -> "BrauerClass":
-        return class_neg(self)
-
     def __str__(self) -> str:
         return format_class(self)
 

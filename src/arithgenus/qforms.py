@@ -21,7 +21,7 @@ from .arith import (
     REAL_PLACE,
     Place,
     Rational,
-    factor,
+    _prime_powers,
     hilbert_symbol,
     is_local_square,
     is_prime,
@@ -60,7 +60,7 @@ class QuadraticForm:
 
     @cached_property
     def _invariants(self) -> LocalInvariants:  # form_invariants, once per form object
-        odd = [[p for p, e in factor(a).factors if e % 2] for a in self.coeffs]
+        odd = [[p for p, e in powers if e % 2] for powers in _prime_powers(self.coeffs)]
         classes = [(1 if a > 0 else -1) * prod(ps) for a, ps in zip(self.coeffs, odd)]
         pairs, disc = [], classes[0]
         for s in classes[1:]:
@@ -95,8 +95,8 @@ class LocalInvariants:
 
 def form_invariants(f: QuadraticForm) -> LocalInvariants:
     """Discriminant square class, Hasse invariants (nontrivial places only)
-    and the real signature, from one factorization of each coefficient: its
-    sign and primes of odd exponent are its square class.  Off 2, the real
+    and the real signature, from one factorization of each distinct |a_j|:
+    a_j's sign and primes of odd exponent are its square class.  Off 2, the real
     place and those primes the Hasse invariant is +1; at each other place v
     it is the product of the n - 1 symbols (a_1...a_{j-1}, a_j)_v.  Computed once per form."""
     return f._invariants

@@ -1,11 +1,11 @@
-"""Geodesic lengths and rational length spectra of quaternionic surfaces.
+"""Rational length spectra of quaternionic surfaces.
 
 For a quaternion division algebra over Q split at the real place, the
 admissible d are the squarefree d > 1 with Q(sqrt(d)) a maximal subfield,
 sieved by residue classes; each contributes the generator log(eta(d)) of a
 ray of rational lengths.  By the class-number formula eta(d) = eps(d)^(2h),
-so a generator is the length of the closed geodesic of eps(d)^h; every
-length here is correctly rounded by interval enclosure.  Two surfaces of
+so a generator is 2 log(eps(d)^h), the length of the closed geodesic of
+eps(d)^h, correctly rounded by interval enclosure.  Two surfaces of
 this family are length-commensurable exactly when their algebras are
 isomorphic (Reid; Prasad-Rapinchuk), that is, when the classes are equal.
 """
@@ -29,21 +29,6 @@ if TYPE_CHECKING:  # mpmath is imported where a real value is made, not at start
 # Largest bound on d of the admissible set and the spectrum generators; at
 # 1024 bits (quadfield.MAX_PREC_BITS) the generators up to it take about 1 s
 MAX_SPECTRUM_BOUND = 10**4
-
-
-@dataclass(frozen=True)
-class HyperbolicGeodesic:
-    """A closed geodesic datum: the eigenvalue > 1 of a hyperbolic element
-    and its winding number."""
-
-    eigenvalue: QuadUnit
-    winding: int = 1
-
-    def __post_init__(self):
-        if self.winding < 1:
-            raise ValueError("winding number must be a positive integer")
-        if self.eigenvalue.compare_real(1) <= 0:
-            raise ValueError("eigenvalue must exceed 1")
 
 
 @dataclass(frozen=True)
@@ -77,39 +62,32 @@ class WeylQuery:
             raise ValueError("lambda must be nonnegative")
 
 
-def geodesic_length(g: HyperbolicGeodesic, precision: int = 128) -> mpmath.mpf:
-    """(2/winding) * log(eigenvalue), the hyperbolic length, correctly rounded
-    to `precision` bits by ``_rounded_logs``, which rounds the spectrum
-    generators too: the logs of the ends of the integer bracket of the
-    eigenvalue, rounded down and up, enclose it, and each end of the
-    enclosure is rounded once to nearest; the bracket widens until both
-    round alike (Ziv, ACM TOMS 17, 1991).  Rounding is monotone, so the
-    common value is the rounded length.  The log of an algebraic number other
-    than 1 is transcendental, never a rounding boundary, so this ends.  The
-    enclosure trusts mpmath's mpf_log to round in the direction asked."""
-    _check_precision(precision)
-    return _rounded_logs([g.eigenvalue], g.winding, precision)[0]
-
-
-def _rounded_logs(units: list[QuadUnit], winding: int, precision: int) -> list[mpmath.mpf]:
+def _rounded_logs(units: list[QuadUnit], precision: int) -> list[mpmath.mpf]:
+    """2 log u for each unit u > 1, correctly rounded to `precision` bits:
+    the logs of the ends of the integer bracket of u, rounded down and up,
+    enclose log u, and each end of the enclosure is rounded once to nearest;
+    the bracket widens until both round alike (Ziv, ACM TOMS 17, 1991).
+    Rounding is monotone, so the common value is the rounded log, and
+    doubling it is exact.  The log of an algebraic number other than 1 is
+    transcendental, never a rounding boundary, so this ends.  The enclosure
+    trusts mpmath's mpf_log to round in the direction asked."""
     from mpmath import mp
     from mpmath.libmp import (
-        from_man_exp, mpf_div, mpf_log, round_ceiling, round_floor, round_nearest,
+        from_man_exp, mpf_log, mpf_pos, mpf_shift, round_ceiling, round_floor, round_nearest,
     )
 
-    half_winding = from_man_exp(winding, -1)  # (2/winding) * x = x / (winding/2)
     logs = []
     for u in units:
         bits = precision + 32  # the first width only sets the cost, not the result
         while True:
             n, k = _bracket(u, bits)  # u in (n, n + 1) * 2^-(k+1)
-            lo, hi = (mpf_div(mpf_log(from_man_exp(end, -k - 1), bits, rounding), half_winding,
-                              precision, round_nearest)
+            lo, hi = (mpf_pos(mpf_log(from_man_exp(end, -k - 1), bits, rounding), precision,
+                              round_nearest)
                       for end, rounding in ((n, round_floor), (n + 1, round_ceiling)))
             if lo == hi:
                 break
             bits *= 2
-        logs.append(mp.make_mpf(lo))
+        logs.append(mp.make_mpf(mpf_shift(lo, 1)))
     return logs
 
 
@@ -142,7 +120,7 @@ def spectrum_generators(algebra: BrauerClass, bound: int,
                         precision: int = 128) -> list[SpectrumGenerator]:
     """One generator (d, log eta(d)) per admissible d up to the bound, where
     log eta(d) = 2h * log eps(d) is the length of the geodesic of eps(d)^h,
-    correctly rounded as by ``geodesic_length``."""
+    correctly rounded by ``_rounded_logs``."""
     _check_precision(precision)
     admissible, units = admissible_set(algebra, bound), []
     for d in admissible:
@@ -150,7 +128,7 @@ def spectrum_generators(algebra: BrauerClass, bound: int,
         h = _class_data(eps).class_number
         units.append(eps if h == 1 else eps ** h)
     return [SpectrumGenerator._proven(d, log_eta)
-            for d, log_eta in zip(admissible, _rounded_logs(units, 1, precision))]
+            for d, log_eta in zip(admissible, _rounded_logs(units, precision))]
 
 
 def default_commensurability_bound(a1: BrauerClass, a2: BrauerClass) -> int:

@@ -1,12 +1,10 @@
 """Weak commensurability of semi-simple elements through their eigenvalues.
 
-An eigenvalue set generates a subgroup of Q-bar^x; two elements are weakly
-commensurable when those subgroups share an element other than 1.  Rational
-eigenvalues live in {+-1} x (free abelian group on the primes), so the test
-is exact integer linear algebra on exponent vectors with the sign tracked as
-a Z/2 coordinate.  Real quadratic units are supported through their field:
-two infinite-order units of one field always share a power up to sign, while
-unit groups of distinct fields meet only in +-1.
+A set of nonzero rational eigenvalues generates a subgroup of Q^x; two
+elements are weakly commensurable when those subgroups share an element other
+than +-1.  Q^x is {+-1} x (free abelian group on the primes), so the test is
+exact integer linear algebra on exponent vectors with the sign tracked as a
+Z/2 coordinate.
 """
 
 from __future__ import annotations
@@ -15,10 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import log2, prod
 from operator import mul
-from typing import Optional, Union
+from typing import Optional
 
-from .arith import MAX_LITERAL_DIGITS, Rational, factor, is_prime
-from .quadfield import QuadUnit
+from .arith import MAX_LITERAL_DIGITS, Rational, _prime_powers, factor, is_prime
 
 # Most bits, numerator and denominator together, of a witness that
 # intersection_witness builds: one bit, a margin for the float sum, under
@@ -42,12 +39,6 @@ class ExponentVector:
             raise ValueError("primes and exponents must align")
         if list(self.primes) != sorted(set(self.primes)):
             raise ValueError("support must be strictly increasing")
-
-    def value(self) -> Fraction:
-        v = Fraction(self.sign)
-        for p, e in zip(self.primes, self.exponents):
-            v *= Fraction(p) ** e
-        return v
 
 
 def to_exponent_vector(q: Rational, support: tuple[int, ...]) -> ExponentVector:
@@ -80,26 +71,6 @@ class RationalEigenvalues:
     @classmethod
     def of(cls, *values: Rational) -> "RationalEigenvalues":
         return cls(tuple(Fraction(v) for v in values))
-
-
-@dataclass(frozen=True)
-class QuadraticEigenvalues:
-    """Eigenvalue data given by infinite-order units of one real quadratic
-    field (torsion units +-1 carry no spectral information and are refused)."""
-
-    units: tuple[QuadUnit, ...]
-
-    def __post_init__(self):
-        if not self.units:
-            raise ValueError("eigenvalue set must be nonempty")
-        fields = {u.field for u in self.units}
-        if len(fields) != 1:
-            raise ValueError("units must belong to a single field")
-        if any(u.Y == 0 for u in self.units):
-            raise ValueError("units must have infinite order")
-
-
-EigenvalueSet = Union[RationalEigenvalues, QuadraticEigenvalues]
 
 
 # ---------------------------------------------------------------------------
@@ -153,18 +124,15 @@ def _left_kernel(rows: list[list[int]]) -> list[list[int]]:
 def _exponent_rows(
     *sets: RationalEigenvalues,
 ) -> tuple[tuple[int, ...], list[tuple[list[list[int]], list[int]]]]:
-    # each value is factored once; the union support and every set's
-    # exponent rows and sign parities are read off those factorizations
-    facts = [[factor(v) for v in s.values] for s in sets]
-    support = tuple(sorted({p for fs in facts for f in fs for p in f.support}))
-    rows = []
-    for fs in facts:
-        exponents = [dict(f.factors) for f in fs]
-        rows.append((
-            [[e.get(p, 0) for p in support] for e in exponents],
-            [0 if f.sign == 1 else 1 for f in fs],
-        ))
-    return support, rows
+    # each distinct |value| is factored once; the union support and every
+    # set's exponent rows are read off those factorizations, and the sign
+    # parities off the values
+    values = [v for s in sets for v in s.values]
+    exponents = iter([dict(powers) for powers in _prime_powers(values)])
+    per_set = [[next(exponents) for _ in s.values] for s in sets]
+    support = tuple(sorted({p for es in per_set for e in es for p in e}))
+    return support, [([[e.get(p, 0) for p in support] for e in es], [int(v < 0) for v in s.values])
+                     for s, es in zip(sets, per_set)]
 
 
 def _common_element(
@@ -202,17 +170,10 @@ def _common_element(
 # Public predicates.
 
 
-def groups_intersect(s1: EigenvalueSet, s2: EigenvalueSet) -> bool:
-    """Whether the eigenvalue-generated subgroups of Q-bar^x share an element
+def groups_intersect(s1: RationalEigenvalues, s2: RationalEigenvalues) -> bool:
+    """Whether the eigenvalue-generated subgroups of Q^x share an element
     other than 1."""
-    if isinstance(s1, RationalEigenvalues) and isinstance(s2, RationalEigenvalues):
-        return _common_element(s1, s2) is not None
-    if isinstance(s1, QuadraticEigenvalues) and isinstance(s2, QuadraticEigenvalues):
-        # same field: u1^(2k2) = u2^(2k1) up to nothing, a genuine common
-        # element; distinct fields meet only in +-1, which our sets exclude
-        return s1.units[0].field == s2.units[0].field
-    # a rational and a quadratic-unit group meet only in +-1
-    return False
+    return _common_element(s1, s2) is not None
 
 
 def intersection_witness(
@@ -240,20 +201,18 @@ def intersection_witness(
                     prod(p**-e for p, e in zip(support, exponents) if e < 0))
 
 
-def refuse_torsion(*sets: EigenvalueSet) -> None:
-    """Raise ValueError if a rational set has only the torsion values +-1,
-    which carry no weak-commensurability data."""
+def refuse_torsion(*sets: RationalEigenvalues) -> None:
+    """Raise ValueError if a set has only the torsion values +-1, which carry
+    no weak-commensurability data."""
     for e in sets:
-        if isinstance(e, RationalEigenvalues) and all(v in (1, -1) for v in e.values):
+        if all(v in (1, -1) for v in e.values):
             raise ValueError("eigenvalue set is torsion-only")
 
 
-def weakly_commensurable(e1: EigenvalueSet, e2: EigenvalueSet) -> bool:
+def weakly_commensurable(e1: RationalEigenvalues, e2: RationalEigenvalues) -> bool:
     """Weak commensurability of the underlying semi-simple elements: the
     eigenvalue groups must share an element different from +-1."""
     refuse_torsion(e1, e2)
-    if isinstance(e1, RationalEigenvalues) and isinstance(e2, RationalEigenvalues):
-        # a common element of infinite order has a nonzero exponent
-        common = _common_element(e1, e2)
-        return common is not None and any(common[1])
-    return groups_intersect(e1, e2)
+    # a common element of infinite order has a nonzero exponent
+    common = _common_element(e1, e2)
+    return common is not None and any(common[1])

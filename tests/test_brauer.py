@@ -145,8 +145,6 @@ class TestGroupLaw:
             assert class_add(class_add(c1, c2), c3) == class_add(c1, class_add(c2, c3))
             assert class_add(c1, class_neg(c1)).is_trivial()
             assert class_neg(class_neg(c1)) == c1
-            assert c1 + c2 == class_add(c1, c2)
-            assert -c1 == class_neg(c1)
 
 
 class TestGroupLawProperties:

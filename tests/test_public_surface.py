@@ -1,8 +1,9 @@
-"""Every name that ``arithgenus/__init__.py`` exports is used by another
-module of the package or wrapped by the benchmark tracer, and every private
-function, class or module-level constant is referenced somewhere in the
-package, so the package carries no code that only the tests call.
-Test-only references live in ``tests/oracles.py``."""
+"""Every name that ``arithgenus/__init__.py`` exports is reached from the CLI
+or from a name the benchmark tracer wraps, through the module-level
+definitions of the package, and every private function, class or
+module-level constant is referenced somewhere in the package, so the package
+carries no code that only the tests call.  Test-only references live in
+``tests/oracles.py``."""
 
 import ast
 from pathlib import Path
@@ -23,21 +24,57 @@ def exported_names():
     ]
 
 
+def package_modules():
+    return [(path.name, ast.parse(path.read_text()))
+            for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+
+
+def _loads(node):
+    # the names and attribute names that the code under `node` loads
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            yield sub.attr
+
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _assigned(node):
+    # names bound by the statement `NAME = ...` or `NAME: T = ...`
+    targets = node.targets if isinstance(node, ast.Assign) else [
+        node.target] if isinstance(node, ast.AnnAssign) else []
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
 def names_used_by_package():
-    used = set()
-    for path in PACKAGE.glob("*.py"):
-        if path.name == "__init__.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                used.add(node.attr)
-    return used
+    return {name for _, tree in package_modules() for name in _loads(tree)}
 
 
 def traced_names():
     return {attr.split(".")[0] for attrs in load_spans().TARGETS.values() for attr in attrs}
+
+
+def names_reached():
+    """The names reached from every definition in cli.py, every traced name
+    and the code a module runs at import: a module-level definition that is
+    reached (by name, across the package's modules) adds what it loads."""
+    loads, todo = {}, list(traced_names())
+    for module, tree in package_modules():
+        for node in tree.body:
+            defined = [node.name] if isinstance(node, DEFINITIONS) else _assigned(node)
+            for name in defined:
+                loads.setdefault(name, set()).update(_loads(node))
+            if module == "cli.py" or not defined:
+                todo += [*defined, *_loads(node)]
+    reached = set()
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += loads.get(name, ())
+    return reached
 
 
 def test_every_export_is_used_or_traced():
@@ -47,18 +84,17 @@ def test_every_export_is_used_or_traced():
     assert [name for name in exported if name not in reached] == []
 
 
+def test_every_export_is_reached_from_the_cli_or_the_tracer():
+    # loaded by some module is not enough: the loading definition must be
+    # reached too
+    reached = names_reached()
+    assert [name for name in exported_names() if name not in reached] == []
+
+
 def _registered_verb(node):
     # handlers that @_verb(...) puts into the CLI verb table
     return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "_verb"
                for d in node.decorator_list)
-
-
-def _module_assignments(tree):
-    # names bound by `NAME = ...` or `NAME: T = ...` at module level
-    for node in tree.body:
-        targets = node.targets if isinstance(node, ast.Assign) else [
-            node.target] if isinstance(node, ast.AnnAssign) else []
-        yield from (t.id for t in targets if isinstance(t, ast.Name))
 
 
 def test_every_private_definition_is_referenced():
@@ -67,11 +103,10 @@ def test_every_private_definition_is_referenced():
     unreferenced = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
-        names = list(_module_assignments(tree))
+        names = [name for node in tree.body for name in _assigned(node)]
         for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if not _registered_verb(node):
-                    names.append(node.name)
+            if isinstance(node, DEFINITIONS) and not _registered_verb(node):
+                names.append(node.name)
         unreferenced += [f"{path.name}:{name}" for name in names
                          if name.startswith("_") and not name.endswith("__") and name not in used]
     assert unreferenced == []

@@ -673,18 +673,25 @@ class TestPlacesOfOddExponent:
 
 
 class TestFactorizationCounts:
-    """Each coefficient is factored once per command, by the invariants of
-    its form, and every verdict reads the places those invariants carry."""
+    """Each distinct coefficient is factored once per command, up to sign,
+    by the invariants of its form, and every verdict reads the places those
+    invariants carry; a repeated value is factored once by every reader."""
 
     TRIPLE_S = ["triple", "--triple1=form=3,-5,7,-11,13;S=3,5", "--triple2=form=1,-1,1,-1,1;S=3,5"]
+    SEMIPRIME = 137438965819 * 137439941131  # 75 bits, two 37-bit primes
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     @pytest.mark.parametrize("argv, factored", [
         (["form", "--form=3,5,7,11,13,17,19"], 7),
-        (TRIPLE_S, 10),
-        ([arg.partition(";")[0] for arg in TRIPLE_S], 10),
+        (TRIPLE_S, 6),
+        ([arg.partition(";")[0] for arg in TRIPLE_S], 6),
         (["twins", "--form=3,5,7,11,13", "--algebra="], 5),
-        (["brauer", "--quaternion=12,-45"], 2)])
+        (["brauer", "--quaternion=12,-45"], 2),
+        (["form", f"--form={SEMIPRIME},{SEMIPRIME},{SEMIPRIME},{SEMIPRIME}"], 1),
+        (["form", f"--form={SEMIPRIME},-{SEMIPRIME},{SEMIPRIME}"], 1),
+        (["weakcomm", f"--set1={SEMIPRIME}", f"--set2={SEMIPRIME}"], 1),
+        (["brauer", f"--quaternion={SEMIPRIME},{SEMIPRIME}"], 1),
+        (["brauer", f"--quaternion={SEMIPRIME},-{SEMIPRIME}"], 1)])
     def test_factor_calls(self, monkeypatch, argv, factored):
         calls = count_everywhere(monkeypatch, "factor")
         assert reply(argv).startswith('{"ok":true,')

@@ -20,9 +20,10 @@ from arithgenus import cli
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 REPLAYED = {"batch_mix": 2000, "heavy_math": 42}
 # verbs replayed over the whole reference: the quadratic-form verdicts, the
-# quaternion classes, and the units, class numbers and length spectra
+# quaternion classes, the units, class numbers and length spectra, and weak
+# commensurability
 FULL_REPLAY = {"form", "twins", "triple", "brauer", "spectrum", "eta", "classnum", "unit",
-               "lencomm"}
+               "lencomm", "weakcomm"}
 
 
 @pytest.fixture(scope="module")

@@ -19,15 +19,11 @@ from arithgenus.brauer import (
     parse_class,
 )
 from arithgenus.genus import embeds_quadratic
-from arithgenus.quadfield import (
-    QuadField, QuadUnit, class_number, fundamental_unit, norm_one_unit,
-)
+from arithgenus.quadfield import class_number, fundamental_unit, norm_one_unit
 from arithgenus.spectrum import (
-    HyperbolicGeodesic,
     WeylQuery,
     admissible_set,
     default_commensurability_bound,
-    geodesic_length,
     length_commensurable,
     spectrum_generators,
     weyl_main_term,
@@ -72,52 +68,41 @@ def surface_classes(draw):
     return quaternion_like([2] * with_two + odd)
 
 
+def geodesic_length(u, precision):
+    """2 log u, the length of the closed geodesic of the unit u > 1, by the
+    kernel that rounds the spectrum generators."""
+    return spectrum._rounded_logs([u], precision)[0]
+
+
 class TestGeodesicLength:
     def test_silver_example(self):
-        g = HyperbolicGeodesic(norm_one_unit(2), 1)
         with mp.workprec(128):
             expected = 2 * mp.log(3 + 2 * mp.sqrt(2))
-            assert abs(geodesic_length(g, 96) - expected) < mp.mpf(2) ** -90
-
-    def test_winding_halves(self):
-        u = norm_one_unit(2)
-        full = geodesic_length(HyperbolicGeodesic(u, 1), 96)
-        half = geodesic_length(HyperbolicGeodesic(u, 2), 96)
-        with mp.workprec(96):
-            assert half * 2 == full
+            assert abs(geodesic_length(norm_one_unit(2), 96) - expected) < mp.mpf(2) ** -90
 
     def test_golden_example(self):
-        g = HyperbolicGeodesic(norm_one_unit(5), 1)
+        u = norm_one_unit(5)
         with mp.workprec(128):
             expected = 2 * mp.log((3 + mp.sqrt(5)) / 2)
-            assert abs(geodesic_length(g, 96) - expected) < mp.mpf(2) ** -90
-        assert str(geodesic_length(g, 64))[:6] == "1.9248"
+            assert abs(geodesic_length(u, 96) - expected) < mp.mpf(2) ** -90
+        assert str(geodesic_length(u, 64))[:6] == "1.9248"
 
     def test_power_scales_length(self):
         u = norm_one_unit(3)
-        base = geodesic_length(HyperbolicGeodesic(u, 1), 128)
+        base = geodesic_length(u, 128)
         for k in (2, 3, 5):
-            powered = geodesic_length(HyperbolicGeodesic(u**k, 1), 128)
+            powered = geodesic_length(u**k, 128)
             with mp.workprec(120):
                 assert abs(powered - k * base) < mp.mpf(2) ** -100
 
     def test_precision_bounds(self):
-        g = HyperbolicGeodesic(norm_one_unit(2))
+        # the kernel takes its precision on trust; spectrum_generators checks it
+        cls = parse_class("2:1/2,3:1/2")
         for precision in (-5, 0, 63):
             with pytest.raises(ValueError, match="at least 64 bits"):
-                geodesic_length(g, precision)
+                spectrum_generators(cls, 2, precision)
         with pytest.raises(ValueError, match="exceeds the supported bound 1024"):
-            geodesic_length(g, quadfield.MAX_PREC_BITS + 1)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            HyperbolicGeodesic(norm_one_unit(2), 0)
-        one = QuadUnit.make(QuadField(2), Fraction(1), Fraction(0))
-        with pytest.raises(ValueError):
-            HyperbolicGeodesic(one, 1)
-        small = fundamental_unit(2).inverse()  # sqrt(2) - 1 < 1
-        with pytest.raises(ValueError):
-            HyperbolicGeodesic(small, 1)
+            spectrum_generators(cls, 2, quadfield.MAX_PREC_BITS + 1)
 
 
 def rounded_log(u, scale, precision):
@@ -135,13 +120,10 @@ SURFACE_CLASSES = ("2:1/2,3:1/2", "2:1/2,5:1/2", "3:1/2,7:1/2", "2:1/2,3:1/2,5:1
 
 class TestCorrectRounding:
     @given(st.integers(2, 10**6 - 1).filter(is_squarefree), st.integers(1, 3),
-           st.integers(1, 12), st.integers(64, 1024))
-    def test_geodesic_length(self, d, power, winding, precision):
+           st.integers(64, 1024))
+    def test_geodesic_length(self, d, power, precision):
         u = fundamental_unit(d) ** power
-        with mp.workprec(4000):
-            scale = mp.mpf(2) / winding
-        want = rounded_log(u, scale, precision)
-        assert geodesic_length(HyperbolicGeodesic(u, winding), precision) == want
+        assert geodesic_length(u, precision) == rounded_log(u, 2, precision)
 
     @settings(max_examples=25)
     @given(st.sampled_from(SURFACE_CLASSES), st.integers(2, 200), st.integers(64, 1024))
@@ -165,23 +147,9 @@ class TestCorrectRounding:
                 with mp.workprec(p):
                     assert got[p][i].log_eta == +log_eta, (d, p)
 
-    def test_enclosure_widens_until_both_ends_round_alike(self, monkeypatch):
-        # a first bracket of 8 bits leaves ends that round apart at 96 bits
-        calls = []
-        original = spectrum._bracket
-
-        def coarse_first(u, bits):
-            calls.append(bits)
-            return original(u, 8 if len(calls) == 1 else bits)
-
-        monkeypatch.setattr(spectrum, "_bracket", coarse_first)
-        u = fundamental_unit(2)
-        assert geodesic_length(HyperbolicGeodesic(u), 96) == rounded_log(u, 2, 96)
-        assert calls == [128, 256]
-
     def test_generators_widen_the_enclosure_alike(self, monkeypatch):
-        # the same coarse first bracket, through spectrum_generators: d = 2
-        # is the only admissible d up to 2, with h = 1 and eta = eps(2)^2
+        # a first bracket of 8 bits leaves ends that round apart at 96 bits:
+        # d = 2 is the only admissible d up to 2, with h = 1 and eta = eps(2)^2
         calls = []
         original = spectrum._bracket
 
@@ -330,12 +298,11 @@ class TestSpectrumGenerators:
         assert [g.d for g in gens] == oracles.admissible_set_by_local_squares(cls, 300)
 
     def test_generators_skip_the_public_checks(self, monkeypatch):
-        # the loop holds eps^h > 1 and log eta > 0 already; the public
-        # constructors keep their checks
+        # the loop holds log eta > 0 already; the public constructor keeps
+        # its check
         built = []
-        for cls in (HyperbolicGeodesic, spectrum.SpectrumGenerator):
-            monkeypatch.setattr(cls, "__post_init__",
-                                lambda self, cls=cls: built.append(cls.__name__))
+        monkeypatch.setattr(spectrum.SpectrumGenerator, "__post_init__",
+                            lambda self: built.append(self))
         gens = spectrum_generators(parse_class("2:1/2,3:1/2"), 300)
         assert len(gens) == 95 and built == []
         monkeypatch.undo()

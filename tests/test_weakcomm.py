@@ -11,12 +11,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from test_quadfield import count_everywhere
 from arithgenus import cli, weakcomm
-from arithgenus.quadfield import fundamental_unit
 from arithgenus.weakcomm import (
     MAX_WITNESS_BITS,
     ExponentVector,
-    QuadraticEigenvalues,
     RationalEigenvalues,
     groups_intersect,
     intersection_witness,
@@ -58,7 +57,9 @@ class TestExponentVector:
         rng = random.Random(RNG_SEED)
         for _ in range(100):
             v = random_value(rng)
-            assert to_exponent_vector(v, SMALL_PRIMES).value() == v
+            vector = to_exponent_vector(v, SMALL_PRIMES)
+            assert vector.sign * prod(
+                Fraction(p) ** e for p, e in zip(vector.primes, vector.exponents)) == v
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -158,16 +159,7 @@ class TestGroupsIntersect:
         assert witness in oracles.power_products(s2.values, 8)
 
     def test_each_value_factored_once(self, monkeypatch):
-        import arithgenus.weakcomm as weakcomm
-
-        calls = []
-        factor = weakcomm.factor
-
-        def counting_factor(q):
-            calls.append(q)
-            return factor(q)
-
-        monkeypatch.setattr(weakcomm, "factor", counting_factor)
+        calls = count_everywhere(monkeypatch, "factor")
         s1 = RationalEigenvalues.of(6, 10, Fraction(-7, 9))
         s2 = RationalEigenvalues.of(Fraction(3, 5), 7, 22)
         assert intersection_witness(s1, s2) == Fraction(3, 5)
@@ -226,28 +218,9 @@ class TestGroupsIntersect:
             s1, s2 = random_set(rng), random_set(rng)
             assert groups_intersect(s1, s2) == groups_intersect(s2, s1)
 
-    def test_distinct_quadratic_fields(self):
-        u2 = QuadraticEigenvalues((fundamental_unit(2),))
-        u3 = QuadraticEigenvalues((fundamental_unit(3),))
-        assert not groups_intersect(u2, u3)
-
-    def test_same_quadratic_field(self):
-        u = fundamental_unit(2)
-        s1 = QuadraticEigenvalues((u,))
-        s2 = QuadraticEigenvalues((u**3,))
-        assert groups_intersect(s1, s2)
-
-    def test_mixed_kinds_never_intersect(self):
-        s1 = RationalEigenvalues.of(2, 3)
-        s2 = QuadraticEigenvalues((fundamental_unit(2),))
-        assert not groups_intersect(s1, s2)
-        assert not weakly_commensurable(s1, s2)
-
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
             RationalEigenvalues(())
-        with pytest.raises(ValueError):
-            QuadraticEigenvalues(())
 
 
 class TestIntegerKernel:
@@ -343,18 +316,10 @@ class TestWeaklyCommensurable:
         s2 = RationalEigenvalues.of(3, Fraction(1, 3))
         assert not weakly_commensurable(s1, s2)
 
-    def test_unit_powers(self):
-        u = fundamental_unit(2)
-        assert weakly_commensurable(
-            QuadraticEigenvalues((u,)), QuadraticEigenvalues((u**3,))
-        )
-
     def test_torsion_only_rejected(self):
         torsion = RationalEigenvalues.of(-1, 1)
         with pytest.raises(ValueError):
             weakly_commensurable(torsion, RationalEigenvalues.of(2))
-        with pytest.raises(ValueError):
-            QuadraticEigenvalues((fundamental_unit(2) ** 0,))
 
     def test_power_stability(self):
         rng = random.Random(RNG_SEED + 5)
