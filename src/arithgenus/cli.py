@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import importlib
 import io
 import json
 import math
@@ -36,8 +37,31 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple
 
-from . import brauer, genus, qforms, quadfield, spectrum, weakcomm
 from .arith import Place, hilbert_symbol, parse_rational
+
+
+class _Library:
+    # Stands in for a library module, so that a start-up imports only arith
+    # (all that `hilbert` needs).  The first attribute read on a stand-in
+    # imports its module (with what that module imports), so a one-shot call
+    # loads only what its verb reads; in a --batch stream it imports all six
+    # as one group, since loaded one by one amid the stream's lines they
+    # raised its peak RSS.  The read rebinds these globals to the real
+    # modules: later lookups are plain module lookups, which a rebound library
+    # function (as a tracer makes) reaches.
+    group = False  # set by _run_batch
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __getattr__(self, attr: str):
+        for name in _LIBRARY if _Library.group else (self.name,):
+            globals()[name] = importlib.import_module(f".{name}", __package__)
+        return getattr(globals()[self.name], attr)
+
+
+_LIBRARY = ("brauer", "genus", "quadfield", "spectrum", "weakcomm", "qforms")
+brauer, genus, quadfield, spectrum, weakcomm, qforms = map(_Library, _LIBRARY)
 
 DISPLAY_DIGITS = 50
 DEFAULT_PREC_BITS = 192
@@ -542,6 +566,7 @@ def execute(cmd: Command) -> Report:
 
 
 def _run_batch(stream, out) -> int:
+    _Library.group = True
     for line in stream:
         line = line.strip()
         if not line:

@@ -49,12 +49,6 @@ class QuadraticForm:
     def dim(self) -> int:
         return len(self.coeffs)
 
-    def scaled(self, factor: Rational) -> "QuadraticForm":
-        factor = Fraction(factor)
-        if factor == 0:
-            raise ValueError("scaling factor must be nonzero")
-        return QuadraticForm(tuple(factor * a for a in self.coeffs))
-
     def __str__(self) -> str:
         return ",".join(str(a) for a in self.coeffs)
 

@@ -97,13 +97,11 @@ class QuadUnit:
         big_y = (self.X * other.Y + self.Y * other.X) // 2
         return QuadUnit(self.field, big_x, big_y, self.norm * other.norm)
 
-    def inverse(self) -> "QuadUnit":
-        # u * conj(u) = norm, and norm is +-1, so 1/u = norm * conj(u)
-        return QuadUnit(self.field, self.norm * self.X, -self.norm * self.Y, self.norm)
-
     def __pow__(self, k: int) -> "QuadUnit":
-        # square-and-multiply over the bits of |k|
-        base = self if k >= 0 else self.inverse()
+        # square-and-multiply over the bits of |k|; for k < 0 the base is 1/u,
+        # which is norm * conj(u) since u * conj(u) = norm = +-1
+        n = self.norm
+        base = self if k >= 0 else QuadUnit(self.field, n * self.X, -n * self.Y, n)
         result = QuadUnit(self.field, 2, 0, 1)
         k = abs(k)
         while k:

@@ -632,6 +632,15 @@ def similar_over_support(f, g) -> bool:
         for v in support_places(*f.coeffs, *g.coeffs))
 
 
+def scaled(f, lam):
+    """The form lam*f (the former QuadraticForm.scaled)."""
+    from arithgenus.qforms import QuadraticForm
+
+    if lam == 0:
+        raise ValueError("scaling factor must be nonzero")
+    return QuadraticForm(tuple(Fraction(lam) * a for a in f.coeffs))
+
+
 def similar_by_search(f, g) -> bool:
     """Similarity of two forms of equal odd dimension by trying every factor
     supported on -1, 2 and the odd primes of disc(f)*disc(g)."""
@@ -653,7 +662,7 @@ def similar_by_search(f, g) -> bool:
             if b:
                 lam *= gen
         candidates.append(lam)
-    return any(forms_equivalent(f.scaled(lam), g) for lam in candidates)
+    return any(forms_equivalent(scaled(f, lam), g) for lam in candidates)
 
 
 def _exact_order_values(v, order: int) -> list[Fraction]:

@@ -15,13 +15,8 @@ PACKAGE = Path(arithgenus.__file__).resolve().parent
 
 
 def exported_names():
-    tree = ast.parse((PACKAGE / "__init__.py").read_text())
-    return [
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    ]
+    # the export table of __init__.py, which resolves each name on first use
+    return list(arithgenus._EXPORTS)
 
 
 def package_modules():
@@ -49,7 +44,8 @@ def _assigned(node):
 
 
 def names_used_by_package():
-    return {name for _, tree in package_modules() for name in _loads(tree)}
+    # __init__.py's own names count too: its export table is read by its hooks
+    return {name for path in PACKAGE.glob("*.py") for name in _loads(ast.parse(path.read_text()))}
 
 
 def traced_names():
