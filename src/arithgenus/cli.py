@@ -204,9 +204,10 @@ def _prec_bits(flag_value: int | None) -> int:
 
 
 def _decimal(value) -> str:
-    from mpmath import mp  # imported where a real value is made, not at start-up
+    # what mp.nstr(value, DISPLAY_DIGITS) returns for an mpf, without its dispatch
+    from mpmath.libmp import to_str  # imported where a real value is made, not at start-up
 
-    return mp.nstr(value, DISPLAY_DIGITS)
+    return to_str(value._mpf_, DISPLAY_DIGITS)
 
 
 def _class_report(c: brauer.BrauerClass) -> dict[str, Any]:

@@ -1,9 +1,11 @@
 """Real quadratic fields Q(sqrt(d)), 1 < d <= MAX_D, from the reduced
 quadratic irrationals of the fundamental discriminant D: one continued
 fraction period of omega = (b + sqrt(D))/2 gives the fundamental unit, and
-the narrow class number counts the cycles of the reduced forms (a, b, c),
-found in O(sqrt(D)) from each 0 < a <= sqrt(D)/2 and the square roots of D
-mod 4a, and walked through their forms with a > 0.  The analytic unit
+the narrow class number counts the cycles of the reduced forms (a, b, c)
+under reduction.  Each cycle holds a key, a form with |a| <= sqrt(D)/2;
+the keys are counted from the square roots of D mod 4a without being
+listed, and cycles are walked from the principal form and then from keys
+not met yet, listed lazily, until every key is met.  The analytic unit
 eta(d) = eps(d)^(2h) of the class-number formula follows from both.
 
 A unit is kept as the integers X = 2x, Y = 2y of x + y*sqrt(d); the unit and
@@ -16,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from .arith import _sqrt_mod_prime, is_squarefree
 
@@ -238,35 +240,36 @@ class ClassData:
             raise ValueError("narrow class number must be h or 2h")
 
 
-def _positive_reduced_forms(disc: int) -> set[tuple[int, int, int]]:
-    """The reduced forms (a, b, c) with a > 0 of the fundamental discriminant
-    disc: b^2 - 4ac = disc, 0 < b < sqrt(disc) and
-    sqrt(disc) - b < 2|a| < sqrt(disc) + b.  The rest are their (-a, b, -c).
-
-    c obeys the same bounds as a, and |a|*|c| = (disc - b^2)/4, so one of
-    |a|, |c| is below sqrt(disc)/2; (a, b, c) -> (-c, b, -a) keeps a form
-    reduced.  So every form is (a, b, -c) or (c, b, -a) for an a with
-    0 < 2a <= isqrt(disc), whose bounds leave sqrt(disc) - 2a < b < sqrt(disc):
-    one b in each class x mod 2a with x^2 = disc mod 4a, and
-    c = (disc - b^2)/(4a).  For a = 2^e * m with m odd, x comes by CRT from
+def _root_tables(disc: int, top: int) -> tuple[list[int], list[list[int]]]:
+    """The smallest prime factor of each n <= top, and for each 2^e <= top
     the x mod 2^(e+1) with x^2 = disc mod 2^(e+2), each kept and lifted from
-    the last by x -> x, x + 2^e, and the roots mod m: Tonelli-Shanks mod
-    each prime p, lifted to p^k (an odd p | disc divides it once, so p^2 has
-    no root), and CRT over the primes.
-    """
-    root = isqrt(disc)
-    top = root // 2
+    the last by x -> x, x + 2^e."""
     # smallest prime factor: the least divisor p > 1 with p^2 <= n, written last
     spf = list(range(top + 1))
     for p in range(isqrt(top), 1, -1):
         spf[p * p::p] = [p] * ((top - p * p) // p + 1)
-    two_roots = [[disc % 2]]  # x mod 2^(e+1) with x^2 = disc mod 2^(e+2), 2^e <= top
+    two_roots = [[disc % 2]]
     while two_roots[-1] and 1 << len(two_roots) <= top:
         power = 1 << len(two_roots)
         two_roots.append([y for x in two_roots[-1] for y in (x, x + power)
                           if (y * y - disc) % (power << 2) == 0])
+    return spf, two_roots
+
+
+def _reduced_keys(disc: int, root: int, top: int, spf: list[int],
+                  two_roots: list[list[int]]) -> Iterator[tuple[int, int]]:
+    """Yield (a, b) for each reduced form (a, b, (b^2 - disc)/(4a)) with
+    0 < a <= top = isqrt(disc)//2, the keys, by increasing odd part of a.
+
+    A reduced form (a, b, c) has b^2 - 4ac = disc, 0 < b < sqrt(disc) and
+    sqrt(disc) - b < 2|a| < sqrt(disc) + b, so 0 < 2a <= isqrt(disc) leaves
+    sqrt(disc) - 2a < b < sqrt(disc): one b in each class x mod 2a with
+    x^2 = disc mod 4a.  For a = 2^e * m with m odd, x comes by CRT from the
+    x mod 2^(e+1) in two_roots[e] and the roots mod m: Tonelli-Shanks mod
+    each prime p, lifted to p^k (an odd p | disc divides it once, so p^2 has
+    no root), and CRT over the primes; spf holds smallest prime factors.
+    """
     odd_roots = {1: [0]}  # x mod m with x^2 = disc mod m, for odd m
-    forms = set()
     for m in range(1, top + 1, 2):
         if m > 1:
             odd_roots[m] = _odd_roots(m, spf[m], odd_roots, disc)
@@ -279,14 +282,30 @@ def _positive_reduced_forms(disc: int) -> set[tuple[int, int, int]]:
             a = m << e
             if a > top:
                 break
-            modulus, two_a, four_a = 2 << e, 2 * a, 4 * a
+            modulus, two_a = 2 << e, 2 * a
             for t in ts:
                 for y in ys:
-                    b = root - (root - t - modulus * ((y - t) * k % m)) % two_a
-                    c = (disc - b * b) // four_a
-                    forms.update(((a, b, -c), (c, b, -a)))
+                    yield a, root - (root - t - modulus * ((y - t) * k % m)) % two_a
             k = k * half % m
-    return forms
+
+
+def _key_count(disc: int, top: int, spf: list[int], two_roots: list[list[int]]) -> int:
+    """The number of keys, sum over 0 < a <= top of the roots x mod 2a of
+    x^2 = disc mod 4a, without listing them: for a = 2^e * m with m odd
+    that is len(two_roots[e]) * rho(m), rho(m) the roots mod m, which is
+    multiplicative with rho(p^k) = 1 + (disc/p) for an odd p not dividing
+    disc, and rho(p) = 1, rho(p^k) = 0 for k >= 2 when p | disc."""
+    rho = [0, 1] + [0] * (top - 1)  # filled at odd m
+    for m in range(3, top + 1, 2):
+        p = spf[m]
+        rest = m // p
+        if rest == 1:
+            rho[m] = 1 if disc % p == 0 else 2 if pow(disc, (p - 1) // 2, p) == 1 else 0
+        elif rest % p:
+            rho[m] = rho[p] * rho[rest]
+        elif disc % p:
+            rho[m] = rho[rest]
+    return sum(len(ts) * sum(rho[1:(top >> e) + 1:2]) for e, ts in enumerate(two_roots))
 
 
 def _odd_roots(m: int, p: int, odd_roots: dict[int, list[int]], disc: int) -> list[int]:
@@ -316,34 +335,51 @@ def class_number(d: int | QuadField) -> ClassData:
 
 
 def _class_data(eps: QuadUnit) -> ClassData:
+    """The narrow class number h+ counts the cycles of reduced forms under
+    reduction, (a, b, c) -> (c, b', (b'^2 - disc)/(4c)) with b' = -b mod 2|c|
+    the largest such residue below sqrt(disc) (Buchmann-Vollmer, Binary
+    Quadratic Forms, ch. 6).  Consecutive forms share a coefficient and
+    |a|*|c| < disc/4, so every cycle has a form with |a| <= top =
+    isqrt(disc)//2, a key.  Reduction commutes with (a, b, c) -> (-a, b, -c),
+    so a cycle is its own negative, met halfway round, or the pair of a
+    cycle and its negative: a walk marks (|a|, b) of each key it meets and
+    stops at its start or at the negated start.  The walks start at the
+    principal form and then at unmarked keys of ``_reduced_keys`` until
+    every one of the ``_key_count`` keys is marked; when h+ = 1 no root is
+    computed."""
     field = eps.field
     disc = field.fundamental_discriminant
-    remaining = _positive_reduced_forms(disc)
     root = isqrt(disc)
-    cycles = 0
-    while remaining:
-        cycles += 1
-        # reduction permutes the reduced forms, and a reduced form has ac < 0,
-        # so each cycle alternates the sign of a and its forms with a > 0 are
-        # one cycle of two steps; a walk from any unvisited form meets only
-        # unvisited ones until it is back at its start
-        start = remaining.pop()
-        _, b, c = start
+    top = root // 2
+    spf, two_roots = _root_tables(disc, top)
+    count = _key_count(disc, top, spf, two_roots)
+    keys = _reduced_keys(disc, root, top, spf, two_roots)  # runs on its first next()
+    marked: set[tuple[int, int]] = set()
+    start, cycles = (1, root - (root - disc) % 2), 0  # the principal form
+    while True:
+        a0, b0 = a, b = start
+        c = (b * b - disc) // (4 * a)
         while True:
-            # (a, b, c) -> (c, b', (b'^2 - disc)/(4c)) with b' = -b mod 2|c|
-            # the largest such residue below sqrt(disc), first with c < 0
+            # a > 0 > c here; one step to a < 0 < c, then one back
+            if a <= top:
+                marked.add((a, b))
             b = root - (root + b) % (-2 * c)
-            c = (b * b - disc) // (4 * c)
+            a, c = c, (b * b - disc) // (4 * c)
+            if a == -a0 and b == b0:
+                cycles += 1
+                break
+            if -a <= top:
+                marked.add((-a, b))
             b = root - (root + b) % (2 * c)
             a, c = c, (b * b - disc) // (4 * c)
-            current = (a, b, c)
-            if current == start:
+            if a == a0 and b == b0:
+                cycles += 2
                 break
-            try:
-                remaining.remove(current)
-            except KeyError:
-                raise RuntimeError(
-                    f"reduction left the unvisited reduced forms at {current}") from None
+        if len(marked) == count:
+            break
+        start = next((key for key in keys if key not in marked), None)
+        if start is None:
+            raise RuntimeError(f"the reduced forms ran out with {len(marked)} of {count} keys met")
     if eps.norm == -1:
         h = cycles
     else:

@@ -5,7 +5,8 @@ admissible d are the squarefree d > 1 with Q(sqrt(d)) a maximal subfield,
 sieved by residue classes; each contributes the generator log(eta(d)) of a
 ray of rational lengths.  By the class-number formula eta(d) = eps(d)^(2h),
 so a generator is 2 log(eps(d)^h), the length of the closed geodesic of
-eps(d)^h, correctly rounded by interval enclosure.  Two surfaces of
+eps(d)^h, correctly rounded by an interval enclosure that takes one
+logarithm per try.  Two surfaces of
 this family are length-commensurable exactly when their algebras are
 isomorphic (Reid; Prasad-Rapinchuk), that is, when the classes are equal.
 """
@@ -63,27 +64,31 @@ class WeylQuery:
 
 
 def _rounded_logs(units: list[QuadUnit], precision: int) -> list[mpmath.mpf]:
-    """2 log u for each unit u > 1, correctly rounded to `precision` bits:
-    the logs of the ends of the integer bracket of u, rounded down and up,
-    enclose log u, and each end of the enclosure is rounded once to nearest;
-    the bracket widens until both round alike (Ziv, ACM TOMS 17, 1991).
-    Rounding is monotone, so the common value is the rounded log, and
-    doubling it is exact.  The log of an algebraic number other than 1 is
-    transcendental, never a rounding boundary, so this ends.  The enclosure
-    trusts mpmath's mpf_log to round in the direction asked."""
+    """2 log u for each unit u > 1, correctly rounded to `precision` bits.
+    With u in (n, n + 1) * 2^-(k+1) and L = log(n * 2^-(k+1)) rounded down
+    to `bits` bits, log u lies in [L, L + ulp(L) + 2^(1 - len(n))), as
+    log(1 + 1/n) < 1/n <= 2^(1 - len(n)); both ends are exact sums, each is
+    rounded once to nearest, and the bracket widens until both round alike
+    (Ziv, ACM TOMS 17, 1991).  Rounding is monotone, so the common value is
+    the rounded log, and doubling it is exact.  The log of an algebraic
+    number other than 1 is transcendental, never a rounding boundary, so
+    this ends.  The enclosure trusts mpmath's mpf_log to round down when
+    asked."""
     from mpmath import mp
-    from mpmath.libmp import (
-        from_man_exp, mpf_log, mpf_pos, mpf_shift, round_ceiling, round_floor, round_nearest,
-    )
+    from mpmath.libmp import from_man_exp, mpf_log, mpf_shift, normalize, round_floor, round_nearest
 
     logs = []
     for u in units:
         bits = precision + 32  # the first width only sets the cost, not the result
         while True:
             n, k = _bracket(u, bits)  # u in (n, n + 1) * 2^-(k+1)
-            lo, hi = (mpf_pos(mpf_log(from_man_exp(end, -k - 1), bits, rounding), precision,
-                              round_nearest)
-                      for end, rounding in ((n, round_floor), (n + 1, round_ceiling)))
+            _, man, exp, bc = mpf_log(from_man_exp(n, -k - 1), bits, round_floor)  # L > 0
+            lo = normalize(0, man, exp, bc, precision, round_nearest)
+            # L + ulp(L) + 2^(1 - len(n)), over the common exponent of its terms
+            ulp, tail = exp + bc - bits, 1 - n.bit_length()
+            low = min(ulp, tail)
+            hi = from_man_exp((man << exp - low) + (1 << ulp - low) + (1 << tail - low), low,
+                              precision, round_nearest)
             if lo == hi:
                 break
             bits *= 2

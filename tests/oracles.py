@@ -1058,3 +1058,160 @@ def splits_with_profile(profile: LocalDegreeProfile, c) -> bool:
         if any(deg % r for deg in degrees):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Former kernels of heavy_math's hot paths: every reduced form in a set, two
+# logarithms per enclosure, trial division by every odd d
+
+
+def positive_reduced_forms(disc: int) -> set[tuple[int, int, int]]:
+    """The reduced forms (a, b, c) with a > 0 of the fundamental discriminant
+    disc: b^2 - 4ac = disc, 0 < b < sqrt(disc) and
+    sqrt(disc) - b < 2|a| < sqrt(disc) + b.  The rest are their (-a, b, -c).
+
+    c obeys the same bounds as a, and |a|*|c| = (disc - b^2)/4, so one of
+    |a|, |c| is below sqrt(disc)/2; (a, b, c) -> (-c, b, -a) keeps a form
+    reduced.  So every form is (a, b, -c) or (c, b, -a) for an a with
+    0 < 2a <= isqrt(disc), whose bounds leave sqrt(disc) - 2a < b < sqrt(disc):
+    one b in each class x mod 2a with x^2 = disc mod 4a, and
+    c = (disc - b^2)/(4a).  For a = 2^e * m with m odd, x comes by CRT from
+    the x mod 2^(e+1) with x^2 = disc mod 2^(e+2), each kept and lifted from
+    the last by x -> x, x + 2^e, and the roots mod m: Tonelli-Shanks mod
+    each prime p, lifted to p^k (an odd p | disc divides it once, so p^2 has
+    no root), and CRT over the primes.
+    """
+    from arithgenus.quadfield import _odd_roots
+
+    root = isqrt(disc)
+    top = root // 2
+    # smallest prime factor: the least divisor p > 1 with p^2 <= n, written last
+    spf = list(range(top + 1))
+    for p in range(isqrt(top), 1, -1):
+        spf[p * p::p] = [p] * ((top - p * p) // p + 1)
+    two_roots = [[disc % 2]]  # x mod 2^(e+1) with x^2 = disc mod 2^(e+2), 2^e <= top
+    while two_roots[-1] and 1 << len(two_roots) <= top:
+        power = 1 << len(two_roots)
+        two_roots.append([y for x in two_roots[-1] for y in (x, x + power)
+                          if (y * y - disc) % (power << 2) == 0])
+    odd_roots = {1: [0]}  # x mod m with x^2 = disc mod m, for odd m
+    forms = set()
+    for m in range(1, top + 1, 2):
+        if m > 1:
+            odd_roots[m] = _odd_roots(m, spf[m], odd_roots, disc)
+        ys = odd_roots[m]
+        if not ys:
+            continue
+        # a = 2^e * m: x = t mod 2^(e+1) and y mod m, with k = 2^-(e+1) mod m
+        half = k = (m + 1) // 2
+        for e, ts in enumerate(two_roots):
+            a = m << e
+            if a > top:
+                break
+            modulus, two_a, four_a = 2 << e, 2 * a, 4 * a
+            for t in ts:
+                for y in ys:
+                    b = root - (root - t - modulus * ((y - t) * k % m)) % two_a
+                    c = (disc - b * b) // four_a
+                    forms.update(((a, b, -c), (c, b, -a)))
+            k = k * half % m
+    return forms
+
+
+def class_numbers_by_form_set(eps) -> tuple[int, int]:
+    """(h+, h) for the fundamental unit eps: every cycle of the forms with
+    a > 0 under two reduction steps is walked from a form left in the set of
+    all of them, removing each form it meets."""
+    disc = eps.field.fundamental_discriminant
+    remaining = positive_reduced_forms(disc)
+    root = isqrt(disc)
+    cycles = 0
+    while remaining:
+        cycles += 1
+        # reduction permutes the reduced forms, and a reduced form has ac < 0,
+        # so each cycle alternates the sign of a and its forms with a > 0 are
+        # one cycle of two steps; a walk from any unvisited form meets only
+        # unvisited ones until it is back at its start
+        start = remaining.pop()
+        _, b, c = start
+        while True:
+            # (a, b, c) -> (c, b', (b'^2 - disc)/(4c)) with b' = -b mod 2|c|
+            # the largest such residue below sqrt(disc), first with c < 0
+            b = root - (root + b) % (-2 * c)
+            c = (b * b - disc) // (4 * c)
+            b = root - (root + b) % (2 * c)
+            a, c = c, (b * b - disc) // (4 * c)
+            current = (a, b, c)
+            if current == start:
+                break
+            remaining.remove(current)
+    if eps.norm == -1:
+        return cycles, cycles
+    assert cycles % 2 == 0, "narrow class number must be even when N(eps) = +1"
+    return cycles, cycles // 2
+
+
+def rounded_logs_by_two_ends(units, precision: int):
+    """2 log u for each unit u > 1, correctly rounded to `precision` bits:
+    the logs of the two ends of the integer bracket of u, rounded down and
+    up, enclose log u; each end is rounded once to nearest, and the bracket
+    widens until both round alike."""
+    from mpmath import mp
+    from mpmath.libmp import (
+        from_man_exp, mpf_log, mpf_pos, mpf_shift, round_ceiling, round_floor, round_nearest,
+    )
+
+    from arithgenus.quadfield import _bracket
+
+    logs = []
+    for u in units:
+        bits = precision + 32
+        while True:
+            n, k = _bracket(u, bits)  # u in (n, n + 1) * 2^-(k+1)
+            lo, hi = (mpf_pos(mpf_log(from_man_exp(end, -k - 1), bits, rounding), precision,
+                              round_nearest)
+                      for end, rounding in ((n, round_floor), (n + 1, round_ceiling)))
+            if lo == hi:
+                break
+            bits *= 2
+        logs.append(mp.make_mpf(mpf_shift(lo, 1)))
+    return logs
+
+
+def factor_by_odd_trial_division(n: int) -> dict[int, int]:
+    """Factor n >= 1 into a prime -> exponent map: 2, 3, 5, then every odd
+    d from 7 while d^2 <= n and d <= 2**12, then Brent rho as the package
+    does it."""
+    from arithgenus.arith import _RHO_BUDGET, _TRIAL_BOUND, _brent_rho, _check_size, is_prime
+
+    _check_size(n)
+    factors: dict[int, int] = {}
+    for p in (2, 3, 5):
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+    d = 7
+    while d * d <= n and d <= _TRIAL_BOUND:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 2
+    if n == 1:
+        return factors
+    if d * d > n:  # no factor up to its square root: prime
+        factors[n] = factors.get(n, 0) + 1
+        return factors
+    budget = _RHO_BUDGET
+    stack = [n]
+    while stack:
+        m = stack.pop()
+        if is_prime(m):
+            factors[m] = factors.get(m, 0) + 1
+            continue
+        g, c = m, 0
+        while not 1 < g < m:
+            c += 1
+            g, steps = _brent_rho(m, c, budget)
+            budget -= steps
+        stack.extend((g, m // g))
+    return factors

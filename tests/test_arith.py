@@ -181,6 +181,32 @@ class TestFactor:
         assert sorted(calls) == [524309, 1048571, 524309 * 1048571]
 
 
+class TestTrialDivision:
+    # around the trial bound 2**12: its last prime 4093, the next one 4099
+    BOUNDARY = (4093**2, 4093 * 4099, 4099**2, 4097, 2**12 - 1, 2**12 + 1, 2**12,
+                4093, 4099, 4093**2 * 4099, 4097**2, 4097**2 - 2, 4099**2 - 2)
+
+    def test_table_is_the_primes_to_the_bound(self):
+        sympy = pytest.importorskip("sympy")
+        assert arith._TRIAL_PRIMES == tuple(sympy.primerange(2, arith._TRIAL_BOUND + 1))
+        assert len(arith._TRIAL_PRIMES) == 564
+
+    def test_boundary_cases(self):
+        sympy = pytest.importorskip("sympy")
+        assert factor(4097).factors == ((17, 1), (241, 1))
+        for n in self.BOUNDARY:
+            got = arith._factor_positive(n)
+            assert got == sympy.factorint(n), n
+            # the same map, key order included, as the odd-d trial division
+            assert list(got.items()) == list(oracles.factor_by_odd_trial_division(n).items()), n
+
+    @given(st.one_of(st.integers(1, 2**24), st.integers(1, 2**48),
+                     st.sampled_from(BOUNDARY).flatmap(lambda n: st.integers(n - 50, n + 50))))
+    def test_matches_odd_trial_division(self, n):
+        got = arith._factor_positive(n)
+        assert list(got.items()) == list(oracles.factor_by_odd_trial_division(n).items())
+
+
 class TestSquarefree:
     @pytest.mark.parametrize("n,expected", [(12, 3), (-50, -2), (7, 7), (1, 1), (-1, -1)])
     def test_examples(self, n, expected):

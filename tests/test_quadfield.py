@@ -1,6 +1,7 @@
 import random
 import sys
 from fractions import Fraction
+from math import isqrt
 
 import mpmath
 import pytest
@@ -241,6 +242,45 @@ class TestNormOneUnit:
             assert one in (eps, eps * eps)
 
 
+def reduced_keys(disc):
+    """The keys (a, b) the class-number walk lists for disc, in its order."""
+    top = isqrt(disc) // 2
+    return list(quadfield._reduced_keys(disc, isqrt(disc), top,
+                                        *quadfield._root_tables(disc, top)))
+
+
+def key_count(disc):
+    top = isqrt(disc) // 2
+    return quadfield._key_count(disc, top, *quadfield._root_tables(disc, top))
+
+
+def keys_of(forms, disc):
+    """(a, b) of the reduced forms (a, b, c) with 0 < a <= isqrt(disc)//2."""
+    return {(a, b) for a, b, _ in forms if 0 < a <= isqrt(disc) // 2}
+
+
+def key_walks(disc):
+    """The keys (|a|, b) met by each cycle of reduced forms, walked one step
+    at a time from the first listed key no walk has met yet."""
+    root, walks = isqrt(disc), []
+    for key in reduced_keys(disc):
+        # the negative of a walked cycle meets the same keys, so it is skipped
+        if any(key in walk for walk in walks):
+            continue
+        (a, b), met = key, set()
+        c = (b * b - disc) // (4 * a)
+        while True:
+            if abs(a) <= root // 2:
+                met.add((abs(a), b))
+            # (a, b, c) -> (c, b', (b'^2 - disc)/(4c)), b' = -b mod 2|c| below sqrt(disc)
+            b = root - (root + b) % (2 * abs(c))
+            a, c = c, (b * b - disc) // (4 * c)
+            if (a, b) == key:
+                break
+        walks.append(met)
+    return walks
+
+
 class TestClassNumber:
     # d with many small primes, one per class of the discriminant: D = d with
     # D = 1 and 5 mod 8, and D = 4d with d = 3 and 2 mod 4
@@ -276,15 +316,19 @@ class TestClassNumber:
             else:
                 assert data.narrow_class_number == 2 * data.class_number
 
+    # also the largest squarefree d <= MAX_D in each class mod 8
+    NEAR_MAX_D = [max(d for d in range(quadfield.MAX_D - 80, quadfield.MAX_D + 1)
+                      if d % 8 == r and is_squarefree(d)) for r in (1, 2, 3, 5, 6, 7)]
+
+    def key_cases(self):
+        return (SQUAREFREE_BELOW_3000 + squarefree_sample(RNG_SEED + 2, 20) + self.NEAR_MAX_D
+                + list(self.MANY_SMALL_PRIMES))
+
     def test_reduced_forms_match_divisor_pair_oracle(self):
-        # also the largest squarefree d <= MAX_D in each class mod 8
-        near = [max(d for d in range(quadfield.MAX_D - 80, quadfield.MAX_D + 1)
-                    if d % 8 == r and is_squarefree(d)) for r in (1, 2, 3, 5, 6, 7)]
-        for d in (SQUAREFREE_BELOW_3000 + squarefree_sample(RNG_SEED + 2, 20) + near
-                  + list(self.MANY_SMALL_PRIMES)):
+        for d in self.key_cases():
             disc = QuadField(d).fundamental_discriminant
             forms = oracles.reduced_forms_by_divisor_pairs(disc)
-            assert quadfield._positive_reduced_forms(disc) == {f for f in forms if f[0] > 0}, d
+            assert set(reduced_keys(disc)) == keys_of(forms, disc), d
             assert {(-a, b, -c) for a, b, c in forms} == forms, d
 
     @given(st.sampled_from((1, 5, 3, 7, 2, 6)), st.integers(0, quadfield.MAX_D // 8))
@@ -296,14 +340,72 @@ class TestClassNumber:
         d = 8 * k + residue
         assume(1 < d <= quadfield.MAX_D and is_squarefree(d))
         disc = QuadField(d).fundamental_discriminant
-        forms = oracles.reduced_forms_by_intervals(disc)
-        assert quadfield._positive_reduced_forms(disc) == {f for f in forms if f[0] > 0}
+        assert set(reduced_keys(disc)) == keys_of(oracles.reduced_forms_by_intervals(disc), disc)
 
-    def test_walk_outside_the_reduced_forms_raises(self, monkeypatch):
-        # a form missing from the set is met by the walk of its cycle
-        forms = quadfield._positive_reduced_forms(QuadField(79).fundamental_discriminant)
-        monkeypatch.setattr(quadfield, "_positive_reduced_forms", lambda disc: set(sorted(forms)[1:]))
-        with pytest.raises(RuntimeError, match="reduction left the unvisited reduced forms at"):
+    def test_key_count_matches_the_keys(self):
+        for d in self.key_cases():
+            disc = QuadField(d).fundamental_discriminant
+            keys = reduced_keys(disc)
+            count = key_count(disc)
+            assert count == len(keys) == len(set(keys)), d
+            assert count == len(keys_of(oracles.positive_reduced_forms(disc), disc)), d
+
+    @given(st.integers(2, quadfield.MAX_D).filter(is_squarefree))
+    def test_key_count_on_random_d(self, d):
+        disc = QuadField(d).fundamental_discriminant
+        assert key_count(disc) == len(reduced_keys(disc))
+
+    @given(st.integers(2, quadfield.MAX_D).filter(is_squarefree))
+    @example(969969)
+    @example(937365)
+    def test_class_numbers_match_the_form_set_oracle(self, d):
+        eps = fundamental_unit(d)
+        data = class_number(d)
+        assert (data.narrow_class_number, data.class_number) == (
+            oracles.class_numbers_by_form_set(eps))
+
+    def test_class_numbers_below_3000_match_the_form_set_oracle(self):
+        for d in SQUAREFREE_BELOW_3000 + list(self.MANY_SMALL_PRIMES) + self.NEAR_MAX_D:
+            data = class_number(d)
+            assert (data.narrow_class_number, data.class_number) == (
+                oracles.class_numbers_by_form_set(fundamental_unit(d))), d
+
+    @given(st.integers(2, quadfield.MAX_D).filter(is_squarefree))
+    @example(969969)
+    @example(690690)
+    def test_genus_theory_divides_the_narrow_class_number(self, d):
+        # the 2-rank of the narrow class group is t - 1 for the t primes
+        # dividing the discriminant
+        t = len(arith.factor(QuadField(d).fundamental_discriminant).factors)
+        assert class_number(d).narrow_class_number % 2 ** (t - 1) == 0
+
+    def test_class_number_one_computes_no_root(self, monkeypatch):
+        # the principal cycle meets every key: no key is listed, no root found
+        advanced, roots = [], count_everywhere(monkeypatch, "_odd_roots", quadfield)
+        original = quadfield._reduced_keys
+
+        def spy(*args):
+            for key in original(*args):
+                advanced.append(key)
+                yield key
+
+        monkeypatch.setattr(quadfield, "_reduced_keys", spy)
+        for d in (2, 5, 13):
+            assert class_number(d).narrow_class_number == 1
+        assert advanced == roots == []
+        assert class_number(79).narrow_class_number == 6
+        assert advanced and roots
+
+    def test_keys_missing_from_the_listing_raise(self, monkeypatch):
+        # d = 79 has h+ = 6: three walks, each of a cycle and its negative;
+        # a listing that misses the keys of the last walk would give h+ = 4
+        disc = QuadField(79).fundamental_discriminant
+        walks = key_walks(disc)
+        assert len(walks) == 3
+        original = quadfield._reduced_keys
+        monkeypatch.setattr(quadfield, "_reduced_keys",
+                            lambda *args: (key for key in original(*args) if key not in walks[-1]))
+        with pytest.raises(RuntimeError, match="the reduced forms ran out with"):
             class_number(79)
 
     def test_class_data_validation(self):

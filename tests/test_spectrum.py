@@ -147,6 +147,19 @@ class TestCorrectRounding:
                 with mp.workprec(p):
                     assert got[p][i].log_eta == +log_eta, (d, p)
 
+    @given(st.integers(2, 10**6 - 1).filter(is_squarefree), st.integers(1, 12),
+           st.integers(64, 1024))
+    def test_matches_the_two_end_enclosure(self, d, power, precision):
+        units = [fundamental_unit(d) ** power, norm_one_unit(d)]
+        assert (spectrum._rounded_logs(units, precision)
+                == oracles.rounded_logs_by_two_ends(units, precision))
+
+    def test_two_end_enclosure_below_3000(self):
+        units = [fundamental_unit(d) for d in range(2, 3000) if is_squarefree(d)]
+        for precision in (64, 128, 192, 384, 1024):
+            assert (spectrum._rounded_logs(units, precision)
+                    == oracles.rounded_logs_by_two_ends(units, precision)), precision
+
     def test_generators_widen_the_enclosure_alike(self, monkeypatch):
         # a first bracket of 8 bits leaves ends that round apart at 96 bits:
         # d = 2 is the only admissible d up to 2, with h = 1 and eta = eps(2)^2
