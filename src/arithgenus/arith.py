@@ -43,6 +43,14 @@ MAX_LITERAL_DIGITS = 4300
 _SCALE = re.compile(r"(?:\.(\d+(?:_\d+)*))?(?:[eE][-+]?(\d+(?:_\d+)*))?\s*\Z")
 
 
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass cls with the given fields, built
+    without its __post_init__ check: each caller states why its fields pass."""
+    record = object.__new__(cls)
+    record.__dict__.update(fields)
+    return record
+
+
 # ---------------------------------------------------------------------------
 # Rationals from text
 

@@ -65,9 +65,6 @@ class BrauerClass:
     def is_trivial(self) -> bool:
         return not self.invariants
 
-    def local_index(self, v: Place) -> int:
-        return self.invariant_at(v).denominator
-
     def __str__(self) -> str:
         return format_class(self)
 

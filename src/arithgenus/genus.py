@@ -12,8 +12,8 @@ index.  The weighted numerator sums mod L, the lcm of the r_v, are built a
 place at a time over every place but the last, whose numerator is looked up
 from each residue; more than MAX_GENUS_COMBINATIONS sums (the product of
 the phi(r_v)) are refused with ValueError first.  The enumerators build
-their GenusSet unchecked, texts are joined column-wise from per-place
-tables, and BrauerClass members are built only when asked for.
+their GenusSet unchecked, and the replies are joined column-wise from
+per-place tables without building a BrauerClass per member.
 """
 
 from __future__ import annotations
@@ -21,11 +21,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm, prod
 from operator import itemgetter, mul
 
-from .arith import Place, _factor_positive, is_local_square, is_squarefree
+from .arith import Place, _factor_positive, _unchecked, is_local_square, is_squarefree
 from .brauer import BrauerClass, global_index
 
 # Most combinations one genus or epsilon-family enumeration may visit (a
@@ -58,13 +57,6 @@ class GenusSet:
         if any(sum(map(mul, ks, weights)) % modulus for ks in self.numerators):
             raise ValueError("local invariants must sum to 0 in Q/Z")
 
-    @classmethod
-    def _enumerated(cls, base: BrauerClass, numerators) -> "GenusSet":
-        # an enumerator's own output, known valid: skips __post_init__
-        genus = object.__new__(cls)
-        vars(genus).update(base=base, numerators=numerators)
-        return genus
-
     @property
     def _orders(self) -> list[int]:
         return [value.denominator for _, value in self.base.invariants]
@@ -72,16 +64,6 @@ class GenusSet:
     @property
     def size(self) -> int:
         return len(self.numerators)
-
-    @cached_property
-    def members(self) -> tuple[BrauerClass, ...]:
-        """The members as BrauerClass objects, each validated on its own."""
-        places = self.base.support
-        orders = self._orders
-        return tuple(
-            BrauerClass(tuple((v, Fraction(k, r)) for v, k, r in zip(places, ks, orders)))
-            for ks in self.numerators
-        )
 
     def texts(self) -> list[str]:
         """The members' text encodings, in member order."""
@@ -146,7 +128,8 @@ def genus_enumerate(c: BrauerClass) -> GenusSet:
     by their invariants: the places and local orders are shared, and the
     product order over ascending numerators is already sorted."""
     numerators = _zero_sum_numerators([value.denominator for _, value in c.invariants])
-    return GenusSet._enumerated(c, tuple(numerators))
+    # the enumerator's own output
+    return _unchecked(GenusSet, base=c, numerators=tuple(numerators))
 
 
 def epsilon_family(primes: list[int] | tuple[int, ...]) -> GenusSet:
@@ -178,7 +161,8 @@ def epsilon_family(primes: list[int] | tuple[int, ...]) -> GenusSet:
                        else map(itemgetter(*canonical), numerators))
     base = BrauerClass(tuple((places[i], Fraction(k, 3))
                              for i, k in zip(canonical, numerators[0])))
-    return GenusSet._enumerated(base, numerators)
+    # the enumerator's own output
+    return _unchecked(GenusSet, base=base, numerators=numerators)
 
 
 def genus_report(genus: GenusSet) -> dict:

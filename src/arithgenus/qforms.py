@@ -5,7 +5,8 @@ classifying invariants (dimension, discriminant, Hasse symbols, signature),
 read from the square class of each coefficient: a form is refused only when
 a coefficient is too large or cannot be factored.  On top of the forms sit
 the odd-orthogonal/symplectic group data, the twins test, and the
-commensurability verdict for arithmetic triples (group, field tag, places).
+commensurability verdict for arithmetic triples (group, field tag, places),
+whose orthogonal datum is the odd-dimensional form itself.
 """
 
 from __future__ import annotations
@@ -229,13 +230,15 @@ def twins(b: GroupB, c: GroupC) -> bool:
 # ---------------------------------------------------------------------------
 # Arithmetic triples and the commensurability verdict.
 
-GroupDatum = Union[QuadraticForm, GroupB, GroupC, BrauerClass, str]
+GroupDatum = Union[QuadraticForm, GroupC, BrauerClass, str]
 
 
 @dataclass(frozen=True)
 class ArithmeticTriple:
     """(group datum, base-field tag, finite place set).
 
+    Over Q the datum is an odd-dimensional form (its special orthogonal
+    group), a GroupC, or a quaternion class (its norm-one group).
     Only the tag "Q" supports group arithmetic; any other tag makes the
     group payload opaque and usable solely for tag-inequality verdicts.
     The set S holds finite places (the archimedean place is implicit).
@@ -263,15 +266,15 @@ class ArithmeticTriple:
                 raise ValueError("norm-one group data needs a quaternion class")
         elif isinstance(group, str):
             raise ValueError("opaque group payloads require a non-Q field tag")
-        elif not isinstance(group, (GroupB, GroupC)):
+        elif not isinstance(group, GroupC):
             raise ValueError(f"unsupported group datum {group!r}")
 
     def _warn_anisotropic_places(self):
         # S must avoid places where the group is anisotropic: S-arithmetic
         # subgroups cannot detect such places; a form is read by its invariants
         group = self.group
-        if self.places and isinstance(group, (QuadraticForm, GroupB)):
-            group = form_invariants(_group_form(group))
+        if self.places and isinstance(group, QuadraticForm):
+            group = form_invariants(group)
         for v in map(Place, sorted(self.places)):
             if (_witt_index(group, v) == 0 if isinstance(group, LocalInvariants)
                     else isinstance(group, BrauerClass) and group.invariant_at(v) != 0):
@@ -282,17 +285,11 @@ class ArithmeticTriple:
 def _group_kind(group: GroupDatum) -> tuple[str, int]:
     if isinstance(group, QuadraticForm):
         return ("orthogonal", group.dim)
-    if isinstance(group, GroupB):
-        return ("orthogonal", group.form.dim)
     if isinstance(group, GroupC):
         return ("symplectic", group.rank)
     if isinstance(group, BrauerClass):
         return ("norm-one", 0)
     return ("opaque", 0)
-
-
-def _group_form(group: GroupDatum) -> QuadraticForm:
-    return group.form if isinstance(group, GroupB) else group
 
 
 def triple_verdict(t1: ArithmeticTriple, t2: ArithmeticTriple) -> tuple[bool, str | None]:
@@ -320,6 +317,6 @@ def triple_verdict(t1: ArithmeticTriple, t2: ArithmeticTriple) -> tuple[bool, st
         if t1.group == t2.group:
             return True, None
         return False, "quaternion classes differ"
-    if _forms_similar(_group_form(t1.group), _group_form(t2.group)):
+    if _forms_similar(t1.group, t2.group):
         return True, None
     return False, "forms are not similar over Q"

@@ -43,13 +43,6 @@ class QuadField:
         if self.d <= 1 or not is_squarefree(self.d):
             raise ValueError("d must be a squarefree integer > 1")
 
-    @classmethod
-    def _known_squarefree(cls, d: int) -> "QuadField":
-        # for a d > 1 its caller has already found squarefree: skips the test
-        field = object.__new__(cls)
-        object.__setattr__(field, "d", d)
-        return field
-
     @property
     def fundamental_discriminant(self) -> int:
         return self.d if self.d % 4 == 1 else 4 * self.d
@@ -81,17 +74,6 @@ class QuadUnit:
     def y(self) -> Fraction:
         return Fraction(self.Y, 2)
 
-    @classmethod
-    def make(cls, field: QuadField, x, y) -> "QuadUnit":
-        """The unit x + y*sqrt(d) from rational coordinates."""
-        x, y = Fraction(x), Fraction(y)
-        big_x, x_rest = divmod(2 * x.numerator, x.denominator)
-        big_y, y_rest = divmod(2 * y.numerator, y.denominator)
-        norm4 = big_x * big_x - field.d * big_y * big_y
-        if x_rest or y_rest or norm4 not in (4, -4):
-            raise ValueError(f"{x} + {y}*sqrt({field.d}) is not a unit")
-        return cls(field, big_x, big_y, norm4 // 4)
-
     def __mul__(self, other: "QuadUnit") -> "QuadUnit":
         if self.field != other.field:
             raise ValueError("units of different fields cannot be multiplied")
@@ -113,17 +95,6 @@ class QuadUnit:
             if k:
                 base = base * base
         return result
-
-    def compare_real(self, t) -> int:
-        """Sign of (x + y*sqrt(d)) - t for rational t (an int or a Fraction),
-        computed exactly: with t = p/q it is the sign of a + b*sqrt(d) for
-        a = q*X - 2p and b = q*Y."""
-        a, b = t.denominator * self.X - 2 * t.numerator, t.denominator * self.Y
-        if a > 0 > b or b > 0 > a:
-            # (a + b*sqrt(d)) * (a - b*sqrt(d)) = diff, and a - b*sqrt(d) has a's sign
-            diff = a * a - self.field.d * b * b
-            return ((diff > 0) - (diff < 0)) * (1 if a > 0 else -1)
-        return (a + b > 0) - (a + b < 0)
 
     def __str__(self) -> str:
         return f"{self.x} + {self.y}*sqrt({self.field.d})"
@@ -153,7 +124,7 @@ def _bracket(u: QuadUnit, bits: int) -> tuple[int, int]:
         k += missing if abs(n) > 1 else max(missing, k)
 
 
-def unit_real_value(u: QuadUnit, precision: int = 128) -> mpmath.mpf:
+def unit_real_value(u: QuadUnit, precision: int) -> mpmath.mpf:
     """The real embedding x + y*sqrt(d), correctly rounded to `precision` bits:
     ``_bracket`` puts it strictly inside (n, n + 1) * 2^-(k+1) with n of
     precision + 2 bits, so no rounding boundary lies there, and the midpoint
@@ -209,7 +180,8 @@ def fundamental_unit(d: int | QuadField) -> QuadUnit:
             # the norm is -1 to the period length
             s = 2 if big_d != field.d else 1
             unit = QuadUnit(field, q1 * b + 2 * q2, q1 * s, (-1) ** steps)
-            assert unit.compare_real(1) > 0
+            # X, Y > 0 put the unit above |conjugate| = 1/unit, so unit > 1
+            assert unit.X > 0 < unit.Y
             return unit
     raise RuntimeError(f"continued fraction of sqrt({field.d}) did not cycle within the cap")
 
@@ -393,7 +365,7 @@ def _class_data(eps: QuadUnit) -> ClassData:
 # The analytic unit, by the class-number formula.
 
 
-def eta_analytic(d: int | QuadField, precision: int = 128) -> mpmath.mpf:
+def eta_analytic(d: int | QuadField, precision: int) -> mpmath.mpf:
     """The unit eta(d) = eps(d)^(2h) of the class-number formula, which
     equals prod_{r=1}^{disc-1} sin(pi*r/disc)^(-chi(r)) for the fundamental
     discriminant disc of Q(sqrt(d)) and chi(r) the Kronecker symbol (disc/r),

@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .arith import _jacobi
+from .arith import _jacobi, _unchecked
 from .brauer import BrauerClass, global_index
 from .quadfield import (
     QuadField, QuadUnit, _bracket, _check_precision, _class_data, fundamental_unit,
@@ -40,12 +40,6 @@ class SpectrumGenerator:
     def __post_init__(self):
         if self.log_eta <= 0:
             raise ValueError("log eta must be positive")
-
-    @classmethod
-    def _proven(cls, d: int, log_eta: mpmath.mpf) -> "SpectrumGenerator":
-        generator = object.__new__(cls)  # the log of a unit > 1 is positive: no check
-        vars(generator).update(d=d, log_eta=log_eta)
-        return generator
 
 
 @dataclass(frozen=True)
@@ -122,17 +116,18 @@ def admissible_set(algebra: BrauerClass, bound: int) -> list[int]:
 
 
 def spectrum_generators(algebra: BrauerClass, bound: int,
-                        precision: int = 128) -> list[SpectrumGenerator]:
+                        precision: int) -> list[SpectrumGenerator]:
     """One generator (d, log eta(d)) per admissible d up to the bound, where
     log eta(d) = 2h * log eps(d) is the length of the geodesic of eps(d)^h,
     correctly rounded by ``_rounded_logs``."""
     _check_precision(precision)
     admissible, units = admissible_set(algebra, bound), []
     for d in admissible:
-        eps = fundamental_unit(QuadField._known_squarefree(d))  # admissible_set sieved d
+        eps = fundamental_unit(_unchecked(QuadField, d=d))  # the sieve proved d squarefree
         h = _class_data(eps).class_number
         units.append(eps if h == 1 else eps ** h)
-    return [SpectrumGenerator._proven(d, log_eta)
+    # the log of a unit > 1 is positive
+    return [_unchecked(SpectrumGenerator, d=d, log_eta=log_eta)
             for d, log_eta in zip(admissible, _rounded_logs(units, precision))]
 
 

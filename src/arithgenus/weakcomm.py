@@ -68,10 +68,6 @@ class RationalEigenvalues:
         if any(v == 0 for v in self.values):
             raise ValueError("eigenvalues must be nonzero")
 
-    @classmethod
-    def of(cls, *values: Rational) -> "RationalEigenvalues":
-        return cls(tuple(Fraction(v) for v in values))
-
 
 # ---------------------------------------------------------------------------
 # Integer lattice utilities (exact; no floating point anywhere).

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used by the tests.
 
 Everything here recomputes results by search or enumeration, staying off the
-code paths it is used to check.
+code paths it is used to check, except the first section: the constructors
+and readers of package records that only the tests use.
 """
 
 from __future__ import annotations
@@ -14,6 +15,59 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from arithgenus.arith import Place
     from arithgenus.qforms import LocalInvariants
+
+
+# ---------------------------------------------------------------------------
+# Constructors and readers that only the tests use
+
+
+def make_unit(field, x, y):
+    """The unit x + y*sqrt(d) of the field from rational coordinates."""
+    from arithgenus.quadfield import QuadUnit
+
+    x, y = Fraction(x), Fraction(y)
+    big_x, x_rest = divmod(2 * x.numerator, x.denominator)
+    big_y, y_rest = divmod(2 * y.numerator, y.denominator)
+    norm4 = big_x * big_x - field.d * big_y * big_y
+    if x_rest or y_rest or norm4 not in (4, -4):
+        raise ValueError(f"{x} + {y}*sqrt({field.d}) is not a unit")
+    return QuadUnit(field, big_x, big_y, norm4 // 4)
+
+
+def compare_real(u, t) -> int:
+    """Sign of (x + y*sqrt(d)) - t for the unit u and a rational t (an int
+    or a Fraction), computed exactly: with t = p/q it is the sign of
+    a + b*sqrt(d) for a = q*X - 2p and b = q*Y."""
+    a, b = t.denominator * u.X - 2 * t.numerator, t.denominator * u.Y
+    if a > 0 > b or b > 0 > a:
+        # (a + b*sqrt(d)) * (a - b*sqrt(d)) = diff, and a - b*sqrt(d) has a's sign
+        diff = a * a - u.field.d * b * b
+        return ((diff > 0) - (diff < 0)) * (1 if a > 0 else -1)
+    return (a + b > 0) - (a + b < 0)
+
+
+def local_index(c, v) -> int:
+    """The order of the invariant of the Brauer class c at the place v."""
+    return c.invariant_at(v).denominator
+
+
+def genus_members(genus):
+    """The members of a GenusSet as BrauerClass objects, each validated on
+    its own, in member order."""
+    from arithgenus.brauer import BrauerClass
+
+    orders = [value.denominator for _, value in genus.base.invariants]
+    return tuple(
+        BrauerClass(tuple((v, Fraction(k, r)) for v, k, r in zip(genus.base.support, ks, orders)))
+        for ks in genus.numerators
+    )
+
+
+def eigenvalues(*values):
+    """RationalEigenvalues of the given rationals."""
+    from arithgenus.weakcomm import RationalEigenvalues
+
+    return RationalEigenvalues(tuple(Fraction(v) for v in values))
 
 
 # ---------------------------------------------------------------------------
@@ -86,8 +140,6 @@ def _unit_from_period(field, big_d, state, m, conv_m, n, conv_n):
     # M_i = [[p_{i-1}, p_{i-2}], [q_{i-1}, q_{i-2}]].  The complete quotient
     # beta at steps m and n coincides, so N = M_m^{-1} M_n fixes beta and
     # N21*beta + N22 is a unit of the order of discriminant big_d.
-    from arithgenus.quadfield import QuadUnit
-
     pm1, pm2, qm1, qm2 = conv_m
     pn1, pn2, qn1, qn2 = conv_n
     det_m = 1 if m % 2 == 0 else -1
@@ -98,8 +150,8 @@ def _unit_from_period(field, big_d, state, m, conv_m, n, conv_n):
     sqrt_scale = 2 if big_d == 4 * field.d else 1
     x = Fraction(n21 * p_state, q_state) + n22
     y = Fraction(n21 * sqrt_scale, q_state)
-    unit = QuadUnit.make(field, abs(x), abs(y))
-    assert unit.compare_real(1) > 0
+    unit = make_unit(field, abs(x), abs(y))
+    assert compare_real(unit, 1) > 0
     return unit
 
 
@@ -678,7 +730,7 @@ def genus_size_by_search_cost(c) -> int:
     """The number of invariant tuples genus_members_by_search tries for c."""
     from math import prod
 
-    return prod(len(_exact_order_values(v, c.local_index(v))) for v in c.support)
+    return prod(len(_exact_order_values(v, local_index(c, v))) for v in c.support)
 
 
 def genus_members_by_search(c):
@@ -689,7 +741,7 @@ def genus_members_by_search(c):
     from arithgenus.brauer import class_from_invariants
 
     support = c.support
-    orders = [c.local_index(v) for v in support]
+    orders = [local_index(c, v) for v in support]
     members = []
     for combo in itertools.product(
         *(_exact_order_values(v, r) for v, r in zip(support, orders))
@@ -1054,7 +1106,7 @@ def splits_with_profile(profile: LocalDegreeProfile, c) -> bool:
         degrees = profile.degrees_at(v)
         if degrees is None:
             raise ValueError(f"profile is missing place {v} in the support of the class")
-        r = c.local_index(v)
+        r = local_index(c, v)
         if any(deg % r for deg in degrees):
             return False
     return True

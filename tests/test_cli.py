@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+import oracles
 from arithgenus import arith, cli, quadfield
 from arithgenus.arith import Place
 from arithgenus.brauer import parse_class
@@ -233,9 +234,9 @@ class TestMainAndExitCodes:
         payload = json.loads(out)["result"]
         from fractions import Fraction
 
-        from arithgenus.quadfield import QuadField, QuadUnit, fundamental_unit
+        from arithgenus.quadfield import QuadField, fundamental_unit
 
-        rebuilt = QuadUnit.make(
+        rebuilt = oracles.make_unit(
             QuadField(payload["d"]), Fraction(payload["x"]), Fraction(payload["y"])
         )
         assert rebuilt == fundamental_unit(13)

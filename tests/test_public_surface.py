@@ -1,8 +1,9 @@
 """Every name that ``arithgenus/__init__.py`` exports is reached from the CLI
 or from a name the benchmark tracer wraps, through the module-level
-definitions of the package, and every private function, class or
-module-level constant is referenced somewhere in the package, so the package
-carries no code that only the tests call.  Test-only references live in
+definitions of the package, every private function, class or module-level
+constant is referenced somewhere in the package, and every public member of
+a class is read by name somewhere in the package, so the package carries no
+code that only the tests call.  Test-only references live in
 ``tests/oracles.py``."""
 
 import ast
@@ -106,3 +107,19 @@ def test_every_private_definition_is_referenced():
         unreferenced += [f"{path.name}:{name}" for name in names
                          if name.startswith("_") and not name.endswith("__") and name not in used]
     assert unreferenced == []
+
+
+def test_every_class_member_is_read_by_the_package():
+    # public methods, properties and fields of the package's classes, read by
+    # name somewhere in the package; a helper that only tests call lives in
+    # tests/oracles.py
+    used = names_used_by_package()
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if isinstance(cls, ast.ClassDef):
+                names = [name for node in cls.body for name in (
+                    [node.name] if isinstance(node, DEFINITIONS) else _assigned(node))]
+                unread += [f"{path.name}:{cls.name}.{name}" for name in names
+                           if not name.startswith("_") and name not in used]
+    assert unread == []

@@ -469,10 +469,16 @@ class TestTriples:
             triple_verdict(t1, t2)
 
     def test_group_b_triples_use_similarity(self):
+        # a type-B triple's datum is its odd-dimensional form
         f = QF(1, -1, 1, -1, 1)
-        t1 = ArithmeticTriple(GroupB(f))
-        t2 = ArithmeticTriple(GroupB(oracles.scaled(f, 3)))
-        assert triple_verdict(t1, t2)[0]
+        t1 = ArithmeticTriple(f)
+        t2 = ArithmeticTriple(oracles.scaled(f, 3))
+        assert triple_verdict(t1, t2) == (True, None)
+
+    def test_group_b_datum_is_refused(self):
+        # GroupB is the twins test's datum; a triple takes the form itself
+        with pytest.raises(ValueError, match=r"^unsupported group datum GroupB\(form="):
+            ArithmeticTriple(GroupB(QF(1, -1, 1, -1, 1)))
 
     def test_reflexive_and_symmetric(self):
         triples = [

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 import oracles
-from arithgenus import arith, quadfield
+from arithgenus import arith, quadfield, spectrum
 from arithgenus.arith import is_squarefree, kronecker_symbol
+from arithgenus.brauer import class_from_quaternion
 from arithgenus.cli import _decimal
 from arithgenus.quadfield import (
     ClassData,
@@ -61,9 +62,9 @@ class TestQuadField:
 class TestQuadUnit:
     def test_integrality_enforced(self):
         with pytest.raises(ValueError):
-            QuadUnit.make(QuadField(2), Fraction(3, 2), Fraction(1, 2))
+            oracles.make_unit(QuadField(2), Fraction(3, 2), Fraction(1, 2))
         with pytest.raises(ValueError):
-            QuadUnit.make(QuadField(5), Fraction(1, 2), Fraction(1))
+            oracles.make_unit(QuadField(5), Fraction(1, 2), Fraction(1))
 
     def test_integer_coordinates(self):
         eps = fundamental_unit(5)  # (1 + sqrt(5))/2
@@ -80,7 +81,7 @@ class TestQuadUnit:
 
     def test_non_unit_rejected(self):
         with pytest.raises(ValueError):
-            QuadUnit.make(QuadField(2), 2, 1)
+            oracles.make_unit(QuadField(2), 2, 1)
 
     def test_norm_multiplicative(self):
         rng = random.Random(RNG_SEED)
@@ -91,7 +92,7 @@ class TestQuadUnit:
                 j, k = rng.randint(-5, 5), rng.randint(-5, 5)
                 a, b = u**j, u**k
                 assert (a * b).norm == a.norm * b.norm
-                assert a * a**-1 == QuadUnit.make(u.field, Fraction(1), Fraction(0))
+                assert a * a**-1 == oracles.make_unit(u.field, Fraction(1), Fraction(0))
 
     def test_large_power_splits(self):
         u = fundamental_unit(2)
@@ -100,10 +101,10 @@ class TestQuadUnit:
 
     def test_exact_real_comparison(self):
         u = fundamental_unit(2)  # 1 + sqrt(2) ~ 2.414
-        assert u.compare_real(2) == 1
-        assert u.compare_real(3) == -1
-        assert u.compare_real(Fraction(12, 5)) == 1
-        assert (u**-1).compare_real(1) == -1
+        assert oracles.compare_real(u, 2) == 1
+        assert oracles.compare_real(u, 3) == -1
+        assert oracles.compare_real(u, Fraction(12, 5)) == 1
+        assert oracles.compare_real(u**-1, 1) == -1
 
 
 def count_squarefree(monkeypatch):
@@ -142,9 +143,9 @@ def count_squarefree_everywhere(monkeypatch):
 
 class TestFundamentalUnit:
     def test_frozen_small_cases(self):
-        assert fundamental_unit(2) == QuadUnit.make(QuadField(2), Fraction(1), Fraction(1))
-        assert fundamental_unit(5) == QuadUnit.make(QuadField(5), Fraction(1, 2), Fraction(1, 2))
-        assert fundamental_unit(3) == QuadUnit.make(QuadField(3), Fraction(2), Fraction(1))
+        assert fundamental_unit(2) == oracles.make_unit(QuadField(2), Fraction(1), Fraction(1))
+        assert fundamental_unit(5) == oracles.make_unit(QuadField(5), Fraction(1, 2), Fraction(1, 2))
+        assert fundamental_unit(3) == oracles.make_unit(QuadField(3), Fraction(2), Fraction(1))
 
     def test_against_pell_search(self):
         for d in SQUAREFREE_SMALL:
@@ -192,7 +193,7 @@ class TestFundamentalUnit:
                     if two_x * two_x != squared:
                         continue
                     try:
-                        QuadUnit.make(
+                        oracles.make_unit(
                             QuadField(d), Fraction(two_x, 2), Fraction(two_y, 2)
                         )
                     except ValueError:
@@ -210,7 +211,14 @@ class TestFundamentalUnit:
             fundamental_unit(BEYOND_MAX_D)
         largest = max(d for d in range(quadfield.MAX_D - 50, quadfield.MAX_D + 1)
                       if is_squarefree(d))
-        assert fundamental_unit(largest).compare_real(1) > 0
+        assert oracles.compare_real(fundamental_unit(largest), 1) > 0
+
+    def test_positive_coordinates_mean_above_one(self):
+        # the assert in fundamental_unit: X, Y > 0 and u * conj(u) = +-1 put
+        # u above |conj(u)| = 1/u, so u > 1, as the exact comparison says
+        for d in filter(is_squarefree, range(2, 20000)):
+            u = fundamental_unit(d)
+            assert u.X > 0 and u.Y > 0 and oracles.compare_real(u, 1) > 0, d
 
     def test_d_checked_once(self, monkeypatch):
         calls = count_squarefree(monkeypatch)
@@ -230,9 +238,9 @@ class TestFundamentalUnit:
 
 class TestNormOneUnit:
     def test_examples(self):
-        assert norm_one_unit(2) == QuadUnit.make(QuadField(2), Fraction(3), Fraction(2))
+        assert norm_one_unit(2) == oracles.make_unit(QuadField(2), Fraction(3), Fraction(2))
         assert norm_one_unit(3) == fundamental_unit(3)
-        assert norm_one_unit(5) == QuadUnit.make(QuadField(5), Fraction(3, 2), Fraction(1, 2))
+        assert norm_one_unit(5) == oracles.make_unit(QuadField(5), Fraction(3, 2), Fraction(1, 2))
 
     def test_always_norm_one_and_small(self):
         for d in SQUAREFREE_SMALL:
@@ -489,12 +497,12 @@ class TestEtaAnalytic:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(quadfield, "fundamental_unit", counting)
-        eta_analytic(79)
+        eta_analytic(79, 128)
         assert calls == [(79,)]
 
     def test_d_checked_once(self, monkeypatch):
         calls = count_squarefree(monkeypatch)
-        eta_analytic(79)
+        eta_analytic(79, 128)
         assert calls == [79]
 
     def test_errors_in_check_order(self):
@@ -509,7 +517,7 @@ class TestUnitRealValue:
     def test_values(self):
         assert abs(unit_real_value(fundamental_unit(2), 64) - (1 + 2**0.5)) < 1e-12
         assert abs(unit_real_value(fundamental_unit(5), 64) - (1 + 5**0.5) / 2) < 1e-12
-        one = QuadUnit.make(QuadField(7), Fraction(1), Fraction(0))
+        one = oracles.make_unit(QuadField(7), Fraction(1), Fraction(0))
         assert unit_real_value(one, 64) == 1
 
     # (d, bits) where eps(d)^(2h) once came out one ulp off, rounded from
@@ -549,3 +557,14 @@ class TestUnitRealValue:
             unit_real_value(fundamental_unit(2), 63)
         with pytest.raises(ValueError, match="exceeds the supported bound 1024"):
             unit_real_value(fundamental_unit(2), quadfield.MAX_PREC_BITS + 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: unit_real_value(fundamental_unit(2)),
+    lambda: eta_analytic(2),
+    lambda: spectrum.spectrum_generators(class_from_quaternion(-1, 3), 10),
+], ids=["unit_real_value", "eta_analytic", "spectrum_generators"])
+def test_precision_is_required(call):
+    # the CLI's default, which ARITHGENUS_PREC_BITS overrides, is the only one
+    with pytest.raises(TypeError, match="missing 1 required positional argument: 'precision'"):
+        call()

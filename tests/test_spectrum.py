@@ -202,9 +202,9 @@ class TestAdmissible:
         calls = count_squarefree_everywhere(monkeypatch)
         monkeypatch.setattr(spectrum, "MAX_SPECTRUM_BOUND", 20)
         with pytest.raises(ValueError, match="bound 21 exceeds the supported bound 20"):
-            spectrum_generators(cls, 21)
+            spectrum_generators(cls, 21, 128)
         assert calls == []
-        assert [g.d for g in spectrum_generators(cls, 20)] == admissible_set(cls, 20)
+        assert [g.d for g in spectrum_generators(cls, 20, 128)] == admissible_set(cls, 20)
 
     def test_rejects_bad_d(self):
         cls = class_from_quaternion(-1, 3)
@@ -294,7 +294,7 @@ class TestSpectrumGenerators:
         # spectrum holds its own binding of the name
         monkeypatch.setattr(quadfield, "fundamental_unit", counting)
         monkeypatch.setattr(spectrum, "fundamental_unit", counting)
-        gens = spectrum_generators(parse_class("2:1/2,3:1/2"), 300)
+        gens = spectrum_generators(parse_class("2:1/2,3:1/2"), 300, 128)
         assert len(gens) == len(calls) == 95
 
     def test_each_d_checked_once(self, monkeypatch):
@@ -304,7 +304,7 @@ class TestSpectrumGenerators:
         per_d = count_per_d_tests(monkeypatch)
         index_calls = count_everywhere(monkeypatch, "global_index", brauer)
         unit_calls = count_everywhere(monkeypatch, "fundamental_unit", quadfield)
-        gens = spectrum_generators(cls, 300)
+        gens = spectrum_generators(cls, 300, 128)
         assert per_d == NO_PER_D_TESTS
         assert len(index_calls) == 1 and len(unit_calls) == len(gens) == 95
         monkeypatch.undo()
@@ -316,7 +316,7 @@ class TestSpectrumGenerators:
         built = []
         monkeypatch.setattr(spectrum.SpectrumGenerator, "__post_init__",
                             lambda self: built.append(self))
-        gens = spectrum_generators(parse_class("2:1/2,3:1/2"), 300)
+        gens = spectrum_generators(parse_class("2:1/2,3:1/2"), 300, 128)
         assert len(gens) == 95 and built == []
         monkeypatch.undo()
         with pytest.raises(ValueError, match="log eta must be positive"):

@@ -71,7 +71,7 @@ class TestExponentVector:
 def dependence_witness(q1, q2):
     """The common element of <q1> and <q2> that the weak-commensurability
     path finds, if any."""
-    return intersection_witness(RationalEigenvalues.of(q1), RationalEigenvalues.of(q2))
+    return intersection_witness(oracles.eigenvalues(q1), oracles.eigenvalues(q2))
 
 
 def minimal_pair_witnesses(q, m):
@@ -103,9 +103,9 @@ class TestMultiplicativeDependence:
 
     def test_torsion_rejected(self):
         with pytest.raises(ValueError):
-            refuse_torsion(RationalEigenvalues.of(1), RationalEigenvalues.of(5))
+            refuse_torsion(oracles.eigenvalues(1), oracles.eigenvalues(5))
         with pytest.raises(ValueError):
-            refuse_torsion(RationalEigenvalues.of(5), RationalEigenvalues.of(-1))
+            refuse_torsion(oracles.eigenvalues(5), oracles.eigenvalues(-1))
 
     def test_sign_doubling(self):
         for q1, q2, m, n in ((-2, 2, 2, 2), (-8, 4, 2, 3), (-2, -8, 3, 1)):
@@ -150,8 +150,8 @@ class TestMultiplicativeDependence:
 
 class TestGroupsIntersect:
     def test_example_with_witness(self):
-        s1 = RationalEigenvalues.of(6, 10)
-        s2 = RationalEigenvalues.of(Fraction(3, 5), 7)
+        s1 = oracles.eigenvalues(6, 10)
+        s2 = oracles.eigenvalues(Fraction(3, 5), 7)
         assert groups_intersect(s1, s2)
         witness = intersection_witness(s1, s2)
         assert witness is not None and witness != 1
@@ -160,21 +160,21 @@ class TestGroupsIntersect:
 
     def test_each_value_factored_once(self, monkeypatch):
         calls = count_everywhere(monkeypatch, "factor")
-        s1 = RationalEigenvalues.of(6, 10, Fraction(-7, 9))
-        s2 = RationalEigenvalues.of(Fraction(3, 5), 7, 22)
+        s1 = oracles.eigenvalues(6, 10, Fraction(-7, 9))
+        s2 = oracles.eigenvalues(Fraction(3, 5), 7, 22)
         assert intersection_witness(s1, s2) == Fraction(3, 5)
         assert len(calls) == 6
 
     def test_trivial_intersection(self):
         assert not groups_intersect(
-            RationalEigenvalues.of(6, 10), RationalEigenvalues.of(15)
+            oracles.eigenvalues(6, 10), oracles.eigenvalues(15)
         )
 
     def test_minus_one_only_intersection(self):
         # -1 = (-2)^3 / 8 lies in both groups although the free parts meet
         # trivially; the brute-force oracle agrees
-        s1 = RationalEigenvalues.of(-2, 8)
-        s2 = RationalEigenvalues.of(-3, 27)
+        s1 = oracles.eigenvalues(-2, 8)
+        s2 = oracles.eigenvalues(-3, 27)
         assert groups_intersect(s1, s2)
         assert oracles.groups_intersect_by_search(s1.values, s2.values, 8)
         assert intersection_witness(s1, s2) == -1
@@ -189,13 +189,13 @@ class TestGroupsIntersect:
         left_kernel = weakcomm._left_kernel
         monkeypatch.setattr(weakcomm, "_left_kernel",
                             lambda rows: calls.append(rows) or left_kernel(rows))
-        s1 = RationalEigenvalues.of(-1, 2)
-        s2 = RationalEigenvalues.of(-1, 3)
+        s1 = oracles.eigenvalues(-1, 2)
+        s2 = oracles.eigenvalues(-1, 3)
         assert intersection_witness(s1, s2) == -1
         assert len(calls) == 1
-        assert intersection_witness(RationalEigenvalues.of(-1, 2), RationalEigenvalues.of(3)) is None
-        assert intersection_witness(RationalEigenvalues.of(-2, 8),
-                                    RationalEigenvalues.of(-3, 27)) == -1
+        assert intersection_witness(oracles.eigenvalues(-1, 2), oracles.eigenvalues(3)) is None
+        assert intersection_witness(oracles.eigenvalues(-2, 8),
+                                    oracles.eigenvalues(-3, 27)) == -1
         assert len(calls) == 3
 
     def test_against_exhaustive_search(self):
@@ -307,19 +307,19 @@ def _in_integer_span(u, basis):
 
 class TestWeaklyCommensurable:
     def test_powers_of_two(self):
-        s1 = RationalEigenvalues.of(4, Fraction(1, 4))
-        s2 = RationalEigenvalues.of(8, Fraction(1, 8))
+        s1 = oracles.eigenvalues(4, Fraction(1, 4))
+        s2 = oracles.eigenvalues(8, Fraction(1, 8))
         assert weakly_commensurable(s1, s2)
 
     def test_independent(self):
-        s1 = RationalEigenvalues.of(2, Fraction(1, 2))
-        s2 = RationalEigenvalues.of(3, Fraction(1, 3))
+        s1 = oracles.eigenvalues(2, Fraction(1, 2))
+        s2 = oracles.eigenvalues(3, Fraction(1, 3))
         assert not weakly_commensurable(s1, s2)
 
     def test_torsion_only_rejected(self):
-        torsion = RationalEigenvalues.of(-1, 1)
+        torsion = oracles.eigenvalues(-1, 1)
         with pytest.raises(ValueError):
-            weakly_commensurable(torsion, RationalEigenvalues.of(2))
+            weakly_commensurable(torsion, oracles.eigenvalues(2))
 
     def test_power_stability(self):
         rng = random.Random(RNG_SEED + 5)
@@ -367,8 +367,8 @@ def rational_sets():
 class TestWitnessBound:
     # a one-dimensional kernel: the only primitive witness has about 157000
     # bits; without the bound, random_generators ran past a 200 s timeout
-    FORCED = (RationalEigenvalues.of(Fraction(2**151, 3**61)),
-              RationalEigenvalues.of(Fraction(2**149, 3**67), Fraction(2**139, 3**71)))
+    FORCED = (oracles.eigenvalues(Fraction(2**151, 3**61)),
+              oracles.eigenvalues(Fraction(2**149, 3**67), Fraction(2**139, 3**71)))
 
     @staticmethod
     def random_generators():
@@ -418,12 +418,12 @@ class TestWitnessBound:
         # the sign of -2**120, raised to the odd power 119, it is reconciled
         # by squaring, to 28560 bits
         assert MAX_WITNESS_BITS == 14283
-        assert intersection_witness(RationalEigenvalues.of(2**119),
-                                    RationalEigenvalues.of(2**120)) == 2**14280
+        assert intersection_witness(oracles.eigenvalues(2**119),
+                                    oracles.eigenvalues(2**120)) == 2**14280
         with pytest.raises(ValueError, match="witness of more than 14283 bits"):
-            intersection_witness(RationalEigenvalues.of(2**119), RationalEigenvalues.of(-(2**120)))
-        assert weakly_commensurable(RationalEigenvalues.of(2**119),
-                                    RationalEigenvalues.of(-(2**120)))
+            intersection_witness(oracles.eigenvalues(2**119), oracles.eigenvalues(-(2**120)))
+        assert weakly_commensurable(oracles.eigenvalues(2**119),
+                                    oracles.eigenvalues(-(2**120)))
 
     def test_witness_under_the_bound_prints(self, capsys):
         # 2**14280 has 4299 digits, within what the CLI reads (4300)
@@ -442,7 +442,7 @@ class TestWitnessBound:
 
     def test_bound_is_inclusive(self, monkeypatch):
         # 3**10 over 3**8 meet in 3**40, of 40 log2 3 = 63.4 bits
-        s1, s2 = RationalEigenvalues.of(3**10), RationalEigenvalues.of(3**8)
+        s1, s2 = oracles.eigenvalues(3**10), oracles.eigenvalues(3**8)
         monkeypatch.setattr(weakcomm, "MAX_WITNESS_BITS", 64)
         assert intersection_witness(s1, s2) == Fraction(1, 3**40)
         monkeypatch.setattr(weakcomm, "MAX_WITNESS_BITS", 63)
